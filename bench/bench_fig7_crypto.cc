@@ -164,10 +164,12 @@ void BM_EncryptScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_EncryptScalar)->Arg(256)->Arg(512)->Arg(1024);
 
-GhPackLayout GhLayoutFor(const PaillierBackend& backend, uint64_t max_count) {
-  FixedPointCodec codec(16, 8, 1);
-  auto layout = MakeGhPackLayout(codec, max_count, /*value_bound=*/1.0,
-                                 backend.plain_modulus().BitLength());
+SlotLayout GhLayoutFor(const PaillierBackend& backend, uint64_t max_count) {
+  SlotLayoutParams params;
+  params.gh = true;
+  params.max_count = max_count;
+  auto layout = MakeSlotLayout(FixedPointCodec(16, 8, 1), params,
+                               backend.plain_modulus().BitLength());
   VF2_CHECK(layout.ok());
   return layout.value();
 }
@@ -176,17 +178,17 @@ GhPackLayout GhLayoutFor(const PaillierBackend& backend, uint64_t max_count) {
 // decryption — compare the items/s against BM_Decrypt (one stat per op).
 void BM_GhPackedDecrypt(benchmark::State& state) {
   Setup& s = GetSetup(state.range(0));
-  const GhPackLayout layout = GhLayoutFor(*s.backend, 64);
+  const SlotLayout layout = GhLayoutFor(*s.backend, 64);
   BigInt bin;
   for (int i = 0; i < 64; ++i) {
     const BigInt c = s.backend->EncryptRaw(
-        EncodeGhPair(layout, s.rng.NextDouble() * 2 - 1,
-                     s.rng.NextDouble() * 0.25),
+        layout.EncodeGh(s.rng.NextDouble() * 2 - 1,
+                        s.rng.NextDouble() * 0.25),
         &s.rng);
     bin = (i == 0) ? c : s.backend->HAddRaw(bin, c);
   }
   for (auto _ : state) {
-    auto slots = DecodeGhSlots(layout, s.backend->DecryptRaw(bin));
+    auto slots = layout.DecodeGh(s.backend->DecryptRaw(bin));
     VF2_CHECK(slots.ok());
     benchmark::DoNotOptimize(slots->g);
   }
@@ -231,14 +233,14 @@ BENCHMARK(BM_GradStreamUnpacked)->Arg(256)->Arg(512)->Arg(1024);
 void BM_GradStreamGhPacked(benchmark::State& state) {
   Setup& s = GetSetup(state.range(0));
   constexpr int kRows = 64, kBins = 8;
-  const GhPackLayout layout = GhLayoutFor(*s.backend, kRows);
+  const SlotLayout layout = GhLayoutFor(*s.backend, kRows);
   for (auto _ : state) {
     std::vector<BigInt> bins(kBins);
     size_t bytes = 0;
     for (int i = 0; i < kRows; ++i) {
       const BigInt c = s.backend->EncryptRaw(
-          EncodeGhPair(layout, s.rng.NextDouble() * 2 - 1,
-                       s.rng.NextDouble() * 0.25),
+          layout.EncodeGh(s.rng.NextDouble() * 2 - 1,
+                          s.rng.NextDouble() * 0.25),
           &s.rng);
       bytes += c.ToBytes().size();
       const int b = i % kBins;
@@ -246,7 +248,7 @@ void BM_GradStreamGhPacked(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(bytes);
     for (int b = 0; b < kBins; ++b) {
-      auto slots = DecodeGhSlots(layout, s.backend->DecryptRaw(bins[b]));
+      auto slots = layout.DecodeGh(s.backend->DecryptRaw(bins[b]));
       VF2_CHECK(slots.ok());
       benchmark::DoNotOptimize(slots->g);
     }

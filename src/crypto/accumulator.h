@@ -14,6 +14,7 @@ namespace vf2boost {
 struct AccumulatorStats {
   size_t hadds = 0;
   size_t scalings = 0;
+  size_t packs = 0;  ///< packed ciphers built (§5.2)
 };
 
 /// \brief Streaming sum of ciphers — the inner loop of encrypted histogram

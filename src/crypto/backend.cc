@@ -103,7 +103,7 @@ Status CipherBackend::DeserializeCipher(ByteReader* r, Cipher* c) const {
 
 BigInt PaillierBackend::EncryptRaw(const BigInt& m, Rng* rng) const {
   if (noise_pool_ != nullptr) {
-    return pub_.EncryptWithNonce(m, noise_pool_->Take(rng));
+    return pub_.EncryptWithNonce(m, noise_pool_->Take());
   }
   return pub_.Encrypt(m, rng);
 }

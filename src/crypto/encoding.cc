@@ -1,10 +1,13 @@
 #include "crypto/encoding.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
 
 #include "common/logging.h"
+#include "crypto/backend.h"
+#include "crypto/packing.h"
 
 namespace vf2boost {
 
@@ -65,12 +68,14 @@ BigInt FixedPointCodec::ScaleFactor(int k) const {
 }
 
 // ---------------------------------------------------------------------------
-// gh slot codec
+// Slot layouts
 // ---------------------------------------------------------------------------
 
-Result<GhPackLayout> MakeGhPackLayout(const FixedPointCodec& codec,
-                                      uint64_t max_count, double value_bound,
-                                      size_t plain_modulus_bits) {
+namespace {
+
+// Sizes the gh value slots for accumulating up to `max_count` pairs.
+Status SizeGhSlots(uint64_t max_count, double value_bound,
+                   size_t plain_modulus_bits, SlotLayout* layout) {
   if (max_count == 0) {
     return Status::InvalidArgument("gh-pack: max_count must be positive");
   }
@@ -78,13 +83,12 @@ Result<GhPackLayout> MakeGhPackLayout(const FixedPointCodec& codec,
     return Status::InvalidArgument(
         "gh-pack: value bound must be positive and finite");
   }
-  GhPackLayout layout;
-  layout.base = codec.base();
-  layout.exponent = codec.min_exponent();
-  layout.max_count = max_count;
-  layout.value_bound = value_bound;
+  layout->channels = 1;
+  layout->exponent = layout->codec.min_exponent();
+  layout->max_count = max_count;
+  layout->value_bound = value_bound;
   const long double scale =
-      powl(static_cast<long double>(layout.base), layout.exponent);
+      powl(static_cast<long double>(layout->codec.base()), layout->exponent);
   const long double offset =
       floorl(static_cast<long double>(value_bound) * scale) + 1.0L;
   // offset must fit a u64 with room for the 2·offset per-instance bound.
@@ -92,92 +96,101 @@ Result<GhPackLayout> MakeGhPackLayout(const FixedPointCodec& codec,
     return Status::InvalidArgument(
         "gh-pack: value bound x B^e exceeds the per-slot offset range");
   }
-  layout.offset = static_cast<uint64_t>(offset);
-  // Accumulation bound: every one of max_count rows contributes at most
-  // 2·offset per value slot; +2 guard bits on each slot.
-  const BigInt slot_max = BigInt(max_count) * BigInt(2 * layout.offset);
-  layout.slot_bits = static_cast<uint32_t>(slot_max.BitLength() + 2);
-  layout.count_bits =
+  layout->offset = static_cast<uint64_t>(offset);
+  const BigInt slot_max = BigInt(max_count) * BigInt(2 * layout->offset);
+  layout->value_bits = static_cast<uint32_t>(slot_max.BitLength() + 2);
+  layout->count_bits =
       static_cast<uint32_t>(BigInt(max_count).BitLength() + 2);
-  if (layout.total_bits() + 2 > plain_modulus_bits) {
+  if (layout->gh_bits() + 2 > plain_modulus_bits) {
     return Status::InvalidArgument(
-        "gh-pack layout needs " + std::to_string(layout.total_bits()) +
+        "gh-pack layout needs " + std::to_string(layout->gh_bits()) +
         " bits (+2 headroom) but the plaintext modulus has only " +
         std::to_string(plain_modulus_bits) +
         " — use a larger key or disable gh packing");
   }
-  return layout;
-}
-
-Status ValidateGhPackLayout(const GhPackLayout& layout,
-                            size_t plain_modulus_bits) {
-  if (layout.base < 2) {
-    return Status::InvalidArgument("gh layout: base must be >= 2");
-  }
-  if (layout.max_count == 0) {
-    return Status::InvalidArgument("gh layout: max_count must be positive");
-  }
-  if (layout.offset == 0 || layout.offset >= (uint64_t{1} << 62)) {
-    return Status::InvalidArgument("gh layout: offset out of range");
-  }
-  if (!std::isfinite(layout.value_bound) || layout.value_bound <= 0) {
-    return Status::InvalidArgument("gh layout: bad value bound");
-  }
-  // An under-sized width would let accumulation overflow into the next slot;
-  // an absurd width is a hostile allocation primitive.
-  const size_t min_slot_bits =
-      (BigInt(layout.max_count) * BigInt(2 * layout.offset)).BitLength();
-  if (layout.slot_bits < min_slot_bits || layout.slot_bits > 1u << 20) {
-    return Status::InvalidArgument("gh layout: slot width inconsistent");
-  }
-  if (layout.count_bits < BigInt(layout.max_count).BitLength() ||
-      layout.count_bits > 1u << 20) {
-    return Status::InvalidArgument("gh layout: count width inconsistent");
-  }
-  if (layout.total_bits() + 2 > plain_modulus_bits) {
-    return Status::InvalidArgument(
-        "gh layout does not fit the plaintext modulus");
-  }
   return Status::OK();
 }
 
-BigInt EncodeGhPair(const GhPackLayout& layout, double g, double h) {
-  VF2_CHECK(std::fabs(g) <= layout.value_bound &&
-            std::fabs(h) <= layout.value_bound)
-      << "gh pair (" << g << ", " << h << ") exceeds the layout bound "
-      << layout.value_bound;
-  const long double scale =
-      powl(static_cast<long double>(layout.base), layout.exponent);
-  const int64_t g_enc = llroundl(static_cast<long double>(g) * scale);
-  const int64_t h_enc = llroundl(static_cast<long double>(h) * scale);
-  const uint64_t g_slot = layout.offset + static_cast<uint64_t>(g_enc);
-  const uint64_t h_slot = layout.offset + static_cast<uint64_t>(h_enc);
-  return (BigInt(1) << (2 * static_cast<size_t>(layout.slot_bits))) +
-         (BigInt(g_slot) << layout.slot_bits) + BigInt(h_slot);
+}  // namespace
+
+Result<SlotLayout> MakeSlotLayout(const FixedPointCodec& codec,
+                                  const SlotLayoutParams& params,
+                                  size_t plain_modulus_bits) {
+  SlotLayout layout;
+  layout.codec = codec;
+  size_t width = 0;  // the slot width a packed form needs
+  double g_shift = 0;
+  if (params.gh) {
+    VF2_RETURN_IF_ERROR(SizeGhSlots(
+        params.max_count, std::max(params.grad_bound, params.hess_bound),
+        plain_modulus_bits, &layout));
+    width = layout.gh_bits();
+  } else {
+    layout.reordered = params.reordered;
+    layout.exponent = codec.max_exponent();
+    g_shift = static_cast<double>(params.max_count) * params.grad_bound;
+    const double max_slot_value =
+        2.0 * g_shift *
+            std::pow(static_cast<double>(codec.base()), layout.exponent) +
+        1.0;
+    width = static_cast<size_t>(std::ceil(std::log2(max_slot_value))) + 1;
+  }
+  if (params.packing) {
+    const size_t capacity = MaxSlotsPerCipher(width, plain_modulus_bits);
+    if (capacity >= std::max<size_t>(2, params.min_pack_slots)) {
+      layout.slot_bits = static_cast<uint32_t>(width);
+      layout.capacity = static_cast<uint32_t>(capacity);
+      if (!params.gh) layout.shift[0] = g_shift;
+    }
+  }
+  return layout;
 }
 
-Result<GhSlots> DecodeGhSlots(const GhPackLayout& layout,
-                              const BigInt& plain) {
-  if (layout.slot_bits == 0 || layout.offset == 0) {
+void SlotLayout::Encrypt(const GradPair& grad, const CipherBackend& backend,
+                         Rng* rng, Cipher* out) const {
+  if (gh()) {
+    out[0].exponent = exponent;
+    out[0].data = backend.EncryptRaw(EncodeGh(grad.g, grad.h), rng);
+    return;
+  }
+  out[0] = backend.Encrypt(grad.g, rng);
+  out[1] = backend.Encrypt(grad.h, rng);
+}
+
+BigInt SlotLayout::EncodeGh(double g, double h) const {
+  VF2_CHECK(std::fabs(g) <= value_bound && std::fabs(h) <= value_bound)
+      << "gh pair (" << g << ", " << h << ") exceeds the layout bound "
+      << value_bound;
+  const long double scale =
+      powl(static_cast<long double>(codec.base()), exponent);
+  const int64_t g_enc = llroundl(static_cast<long double>(g) * scale);
+  const int64_t h_enc = llroundl(static_cast<long double>(h) * scale);
+  const uint64_t g_slot = offset + static_cast<uint64_t>(g_enc);
+  const uint64_t h_slot = offset + static_cast<uint64_t>(h_enc);
+  return (BigInt(1) << (2 * static_cast<size_t>(value_bits))) +
+         (BigInt(g_slot) << value_bits) + BigInt(h_slot);
+}
+
+Result<GhSlots> SlotLayout::DecodeGh(const BigInt& plain) const {
+  if (value_bits == 0 || offset == 0) {
     return Status::InvalidArgument("gh-pack layout is uninitialized");
   }
-  if (plain.BitLength() > layout.total_bits()) {
+  if (plain.BitLength() > gh_bits()) {
     return Status::Corruption("gh plaintext exceeds the layout width");
   }
-  const size_t s = layout.slot_bits;
+  const size_t s = value_bits;
   const BigInt hi = plain >> s;  // [count | g]
   const BigInt h_slot = plain - (hi << s);
   const BigInt count_big = hi >> s;
   const BigInt g_slot = hi - (count_big << s);
-  if (count_big > BigInt(layout.max_count)) {
+  if (count_big > BigInt(max_count)) {
     return Status::Corruption("gh count slot exceeds the accumulation bound");
   }
   GhSlots out;
   out.count = count_big.ToU64();
-  const double scale =
-      std::pow(static_cast<double>(layout.base), layout.exponent);
-  const BigInt base = BigInt(out.count) * BigInt(layout.offset);
-  const BigInt slot_cap = BigInt(out.count) * BigInt(2 * layout.offset);
+  const double scale = std::pow(static_cast<double>(codec.base()), exponent);
+  const BigInt base = BigInt(out.count) * BigInt(offset);
+  const BigInt slot_cap = BigInt(out.count) * BigInt(2 * offset);
   auto decode = [&](const BigInt& slot, double* value) -> Status {
     if (slot > slot_cap) {
       return Status::Corruption("gh value slot outside the offset window");
@@ -186,11 +199,23 @@ Result<GhSlots> DecodeGhSlots(const GhPackLayout& layout,
                           : -((base - slot).ToDouble() / scale);
     return Status::OK();
   };
-  Status st = decode(g_slot, &out.g);
-  if (!st.ok()) return st;
-  st = decode(h_slot, &out.h);
-  if (!st.ok()) return st;
+  VF2_RETURN_IF_ERROR(decode(g_slot, &out.g));
+  VF2_RETURN_IF_ERROR(decode(h_slot, &out.h));
   return out;
+}
+
+Status SlotLayout::DecodeSlot(const BigInt& slot, int slot_exponent,
+                              size_t channel, const BigInt& n,
+                              GradPair* out) const {
+  if (gh()) {
+    VF2_ASSIGN_OR_RETURN(GhSlots sums, DecodeGh(slot));
+    out->g = sums.g;
+    out->h = sums.h;
+    return Status::OK();
+  }
+  double& value = channel == 0 ? out->g : out->h;
+  value = codec.Decode(slot, slot_exponent, n) - shift[channel];
+  return Status::OK();
 }
 
 }  // namespace vf2boost

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "obs/phase_tag.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -81,7 +80,8 @@ void NoisePool::ProducerLoop(size_t worker_index) {
   }
 }
 
-BigInt NoisePool::Take(Rng* fallback_rng) {
+BigInt NoisePool::Take() {
+  uint64_t miss = 0;
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (!ready_.empty()) {
@@ -94,12 +94,13 @@ BigInt NoisePool::Take(Rng* fallback_rng) {
       PublishFill(fill);
       return nonce;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    miss = misses_.fetch_add(1, std::memory_order_relaxed);
     refill_cv_.notify_all();
   }
   PublishFill(0);
-  VF2_DCHECK(fallback_rng != nullptr);
-  return pub_.MakeNonce(fallback_rng);
+  Rng miss_rng(seed_ ^ 0x6d697373ULL /* "miss" */ ^
+               ((miss + 1) * 0xbf58476d1ce4e5b9ULL));
+  return pub_.MakeNonce(&miss_rng);
 }
 
 NoisePool::Stats NoisePool::stats() const {

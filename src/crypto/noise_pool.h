@@ -27,8 +27,10 @@ namespace vf2boost {
 /// extended one stage earlier).
 ///
 /// Thread-safe: any number of concurrent consumers (Take) and producers.
-/// A Take on an empty pool never blocks — it computes the nonce inline with
-/// the caller's rng and counts a miss.
+/// A Take on an empty pool never blocks — it computes the nonce inline and
+/// counts a miss. Either way the caller's rng is untouched, so everything a
+/// caller draws after an encryption (e.g. the next codec exponent) is
+/// independent of pool timing.
 class NoisePool {
  public:
   /// Counter snapshot. The live counters are std::atomic (consumers and
@@ -51,9 +53,10 @@ class NoisePool {
   NoisePool(const NoisePool&) = delete;
   NoisePool& operator=(const NoisePool&) = delete;
 
-  /// Pops a pre-computed nonce, or computes one inline from `fallback_rng`
-  /// when the pool is empty. Never blocks.
-  BigInt Take(Rng* fallback_rng);
+  /// Pops a pre-computed nonce, or computes one inline when the pool is
+  /// empty, from a stream keyed on the seed and the miss count. Never
+  /// blocks.
+  BigInt Take();
 
   Stats stats() const;
   size_t capacity() const { return capacity_; }

@@ -48,6 +48,7 @@ Result<PackedCipher> PackCiphers(const std::vector<Cipher>& slots,
 
 std::vector<BigInt> UnpackPlaintext(const BigInt& plain, size_t slot_bits,
                                     size_t num_slots) {
+  if (slot_bits == 0) return {plain};
   std::vector<BigInt> out;
   out.reserve(num_slots);
   BigInt rest = plain;
@@ -59,25 +60,19 @@ std::vector<BigInt> UnpackPlaintext(const BigInt& plain, size_t slot_bits,
   return out;
 }
 
-std::vector<double> DecodePackedPlain(const PackedCipher& packed,
-                                      const BigInt& plain,
-                                      const CipherBackend& backend) {
-  const std::vector<BigInt> raw =
-      UnpackPlaintext(plain, packed.slot_bits, packed.num_slots);
+Result<std::vector<double>> DecryptPacked(const PackedCipher& packed,
+                                          const CipherBackend& backend) {
+  if (!backend.can_decrypt()) {
+    return Status::CryptoError("backend has no private key");
+  }
+  const std::vector<BigInt> raw = UnpackPlaintext(
+      backend.DecryptRaw(packed.data), packed.slot_bits, packed.num_slots);
   const double scale =
       std::pow(static_cast<double>(backend.codec().base()), packed.exponent);
   std::vector<double> out;
   out.reserve(raw.size());
   for (const BigInt& v : raw) out.push_back(v.ToDouble() / scale);
   return out;
-}
-
-Result<std::vector<double>> DecryptPacked(const PackedCipher& packed,
-                                          const CipherBackend& backend) {
-  if (!backend.can_decrypt()) {
-    return Status::CryptoError("backend has no private key");
-  }
-  return DecodePackedPlain(packed, backend.DecryptRaw(packed.data), backend);
 }
 
 }  // namespace vf2boost

@@ -11,7 +11,8 @@
 namespace vf2boost {
 
 /// \brief One packed cipher carrying `num_slots` histogram bins of
-/// `slot_bits` bits each (paper §5.2, Fig. 9).
+/// `slot_bits` bits each (paper §5.2, Fig. 9). An unpacked cipher is one
+/// slot with `slot_bits` 0.
 struct PackedCipher {
   BigInt data;
   int32_t exponent = 0;
@@ -37,16 +38,10 @@ Result<PackedCipher> PackCiphers(const std::vector<Cipher>& slots,
 
 /// Splits a decrypted packed plaintext back into its slot values
 /// (V₁ = low M bits, V₂ = next M bits, …). Slots may exceed 64 bits (large
-/// shifted values at high exponents), hence BigInt.
+/// shifted values at high exponents), hence BigInt. `slot_bits` 0 marks an
+/// unpacked cipher: one slot holding the whole plaintext.
 std::vector<BigInt> UnpackPlaintext(const BigInt& plain, size_t slot_bits,
                                     size_t num_slots);
-
-/// Decode half of DecryptPacked: turns an already-decrypted packed plaintext
-/// into decoded slot values. Batch decryption paths decrypt many packs at
-/// once via CipherBackend::DecryptRawBatch and feed each plaintext here.
-std::vector<double> DecodePackedPlain(const PackedCipher& packed,
-                                      const BigInt& plain,
-                                      const CipherBackend& backend);
 
 /// Decrypts a packed cipher and returns the decoded slot values. Slot
 /// plaintexts are unsigned (the protocol shifts them nonnegative before

@@ -1,90 +1,51 @@
 #include "fed/enc_histogram.h"
 
-#include <cmath>
-#include <memory>
-
-#include "common/logging.h"
+#include <algorithm>
 
 namespace vf2boost {
 
 IncrementalHistogramBuilder::IncrementalHistogramBuilder(
     const BinnedMatrix* x, const FeatureLayout* layout,
-    const CipherBackend* backend, bool reordered, bool gh)
-    : x_(x), layout_(layout), gh_(gh) {
-  const size_t total = layout->total_bins();
-  g_acc_.resize(total);
-  if (!gh_) h_acc_.resize(total);
-  for (size_t i = 0; i < total; ++i) {
-    if (reordered) {
-      g_acc_[i] = std::make_unique<ReorderedCipherAccumulator>(backend);
-      if (!gh_) h_acc_[i] = std::make_unique<ReorderedCipherAccumulator>(backend);
+    const SlotLayout* slots, const CipherBackend* backend)
+    : x_(x), layout_(layout), channels_(slots->channels) {
+  acc_.resize(channels_ * layout->total_bins());
+  for (auto& acc : acc_) {
+    if (slots->reordered) {
+      acc = std::make_unique<ReorderedCipherAccumulator>(backend);
     } else {
-      g_acc_[i] = std::make_unique<NaiveCipherAccumulator>(backend);
-      if (!gh_) h_acc_[i] = std::make_unique<NaiveCipherAccumulator>(backend);
+      acc = std::make_unique<NaiveCipherAccumulator>(backend);
     }
   }
 }
 
 void IncrementalHistogramBuilder::AddRow(uint32_t row,
-                                         const std::vector<Cipher>& g,
-                                         const std::vector<Cipher>& h) {
+                                         const std::vector<Cipher>& ciphers) {
   const auto cols = x_->RowColumns(row);
   const auto bins = x_->RowBins(row);
+  const size_t total = layout_->total_bins();
   for (size_t k = 0; k < cols.size(); ++k) {
     const size_t flat = layout_->Flat(cols[k], bins[k]);
-    g_acc_[flat]->Add(g[row]);
-    h_acc_[flat]->Add(h[row]);
+    for (size_t c = 0; c < channels_; ++c) {
+      acc_[c * total + flat]->Add(ciphers[row * channels_ + c]);
+    }
   }
   ++rows_added_;
 }
 
 void IncrementalHistogramBuilder::AddRange(uint32_t begin, uint32_t end,
-                                           const std::vector<Cipher>& g,
-                                           const std::vector<Cipher>& h) {
-  for (uint32_t i = begin; i < end; ++i) AddRow(i, g, h);
-}
-
-void IncrementalHistogramBuilder::AddRowGh(uint32_t row,
-                                           const std::vector<Cipher>& gh) {
-  VF2_CHECK(gh_) << "AddRowGh on a classic-mode builder";
-  const auto cols = x_->RowColumns(row);
-  const auto bins = x_->RowBins(row);
-  for (size_t k = 0; k < cols.size(); ++k) {
-    const size_t flat = layout_->Flat(cols[k], bins[k]);
-    g_acc_[flat]->Add(gh[row]);
-  }
-  ++rows_added_;
-}
-
-void IncrementalHistogramBuilder::AddRangeGh(uint32_t begin, uint32_t end,
-                                             const std::vector<Cipher>& gh) {
-  for (uint32_t i = begin; i < end; ++i) AddRowGh(i, gh);
+                                           const std::vector<Cipher>& ciphers) {
+  for (uint32_t i = begin; i < end; ++i) AddRow(i, ciphers);
 }
 
 EncryptedHistogram IncrementalHistogramBuilder::Finalize(
     AccumulatorStats* stats) {
-  const size_t total = g_acc_.size();
   EncryptedHistogram out;
-  if (gh_) {
-    out.gh_bins.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-      out.gh_bins.push_back(g_acc_[i]->Finalize());
-      if (stats != nullptr) {
-        stats->hadds += g_acc_[i]->stats().hadds;
-        stats->scalings += g_acc_[i]->stats().scalings;
-      }
-    }
-    return out;
-  }
-  out.g_bins.reserve(total);
-  out.h_bins.reserve(total);
-  for (size_t i = 0; i < total; ++i) {
-    out.g_bins.push_back(g_acc_[i]->Finalize());
-    out.h_bins.push_back(h_acc_[i]->Finalize());
+  out.reserve(acc_.size());
+  for (auto& acc : acc_) {
+    out.push_back(acc->Finalize());
     if (stats != nullptr) {
-      stats->hadds += g_acc_[i]->stats().hadds + h_acc_[i]->stats().hadds;
-      stats->scalings +=
-          g_acc_[i]->stats().scalings + h_acc_[i]->stats().scalings;
+      stats->hadds += acc->stats().hadds;
+      stats->scalings += acc->stats().scalings;
     }
   }
   return out;
@@ -92,22 +53,16 @@ EncryptedHistogram IncrementalHistogramBuilder::Finalize(
 
 EncryptedHistogram BuildEncryptedHistogram(
     const BinnedMatrix& x, const FeatureLayout& layout,
-    const std::vector<uint32_t>& instances, const std::vector<Cipher>& g,
-    const std::vector<Cipher>& h, const CipherBackend& backend, bool reordered,
-    AccumulatorStats* stats) {
-  IncrementalHistogramBuilder builder(&x, &layout, &backend, reordered);
-  for (uint32_t i : instances) builder.AddRow(i, g, h);
-  return builder.Finalize(stats);
-}
-
-EncryptedHistogram BuildEncryptedHistogramParallel(
-    const BinnedMatrix& x, const FeatureLayout& layout,
-    const std::vector<uint32_t>& instances, const std::vector<Cipher>& g,
-    const std::vector<Cipher>& h, const CipherBackend& backend, bool reordered,
+    const SlotLayout& slots, const std::vector<uint32_t>& instances,
+    const std::vector<Cipher>& ciphers, const CipherBackend& backend,
     AccumulatorStats* stats, ThreadPool* pool) {
+  auto build = [&](auto begin, auto end, AccumulatorStats* shard_stats) {
+    IncrementalHistogramBuilder builder(&x, &layout, &slots, &backend);
+    for (auto it = begin; it != end; ++it) builder.AddRow(*it, ciphers);
+    return builder.Finalize(shard_stats);
+  };
   if (pool == nullptr || pool->num_threads() < 2 || instances.size() < 64) {
-    return BuildEncryptedHistogram(x, layout, instances, g, h, backend,
-                                   reordered, stats);
+    return build(instances.begin(), instances.end(), stats);
   }
   const size_t shards = pool->num_threads();
   const size_t chunk = (instances.size() + shards - 1) / shards;
@@ -117,369 +72,148 @@ EncryptedHistogram BuildEncryptedHistogramParallel(
     const size_t begin = s * chunk;
     const size_t end = std::min(instances.size(), begin + chunk);
     if (begin >= end) return;
-    const std::vector<uint32_t> shard(instances.begin() + begin,
-                                      instances.begin() + end);
-    partial[s] = BuildEncryptedHistogram(x, layout, shard, g, h, backend,
-                                         reordered, &partial_stats[s]);
+    partial[s] = build(instances.begin() + begin, instances.begin() + end,
+                       &partial_stats[s]);
   });
 
-  // Aggregate worker-local histograms into the global one (one HAdd per bin
-  // per extra shard; exponents are aligned on demand).
+  // Aggregate worker-local histograms into the global one (one HAdd per
+  // cipher per extra shard; exponents are aligned on demand).
   EncryptedHistogram out = std::move(partial[0]);
-  size_t merge_scalings = 0;
-  size_t merge_hadds = 0;
+  AccumulatorStats merge;
   for (size_t s = 1; s < shards; ++s) {
-    if (partial[s].g_bins.empty()) continue;
-    for (size_t i = 0; i < out.g_bins.size(); ++i) {
-      out.g_bins[i] =
-          backend.HAdd(out.g_bins[i], partial[s].g_bins[i], &merge_scalings);
-      out.h_bins[i] =
-          backend.HAdd(out.h_bins[i], partial[s].h_bins[i], &merge_scalings);
-      merge_hadds += 2;
+    for (size_t i = 0; i < partial[s].size(); ++i) {
+      out[i] = backend.HAdd(out[i], partial[s][i], &merge.scalings);
+      ++merge.hadds;
     }
   }
   if (stats != nullptr) {
+    partial_stats.push_back(merge);
     for (const AccumulatorStats& ps : partial_stats) {
       stats->hadds += ps.hadds;
       stats->scalings += ps.scalings;
     }
-    stats->hadds += merge_hadds;
-    stats->scalings += merge_scalings;
   }
   return out;
 }
 
-EncryptedHistogram BuildEncryptedHistogramGh(
-    const BinnedMatrix& x, const FeatureLayout& layout,
-    const std::vector<uint32_t>& instances, const std::vector<Cipher>& gh,
-    const CipherBackend& backend, bool reordered, AccumulatorStats* stats) {
-  IncrementalHistogramBuilder builder(&x, &layout, &backend, reordered,
-                                      /*gh=*/true);
-  for (uint32_t i : instances) builder.AddRowGh(i, gh);
-  return builder.Finalize(stats);
-}
-
-EncryptedHistogram BuildEncryptedHistogramGhParallel(
-    const BinnedMatrix& x, const FeatureLayout& layout,
-    const std::vector<uint32_t>& instances, const std::vector<Cipher>& gh,
-    const CipherBackend& backend, bool reordered, AccumulatorStats* stats,
-    ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() < 2 || instances.size() < 64) {
-    return BuildEncryptedHistogramGh(x, layout, instances, gh, backend,
-                                     reordered, stats);
+Result<std::vector<PackedCipher>> PackHistogram(EncryptedHistogram hist,
+                                                const FeatureLayout& layout,
+                                                const SlotLayout& slots,
+                                                const CipherBackend& backend,
+                                                AccumulatorStats* stats) {
+  std::vector<PackedCipher> out;
+  if (!slots.packed()) {
+    out.reserve(hist.size());
+    for (Cipher& c : hist) {
+      out.push_back({std::move(c.data), c.exponent, 0, 1});
+    }
+    return out;
   }
-  const size_t shards = pool->num_threads();
-  const size_t chunk = (instances.size() + shards - 1) / shards;
-  std::vector<EncryptedHistogram> partial(shards);
-  std::vector<AccumulatorStats> partial_stats(shards);
-  pool->ParallelFor(shards, [&](size_t s) {
-    const size_t begin = s * chunk;
-    const size_t end = std::min(instances.size(), begin + chunk);
-    if (begin >= end) return;
-    const std::vector<uint32_t> shard(instances.begin() + begin,
-                                      instances.begin() + end);
-    partial[s] = BuildEncryptedHistogramGh(x, layout, shard, gh, backend,
-                                           reordered, &partial_stats[s]);
-  });
-
-  // Merge worker-local gh histograms; all gh ciphers share one exponent so
-  // no scalings arise.
-  EncryptedHistogram out = std::move(partial[0]);
-  size_t merge_scalings = 0;
-  size_t merge_hadds = 0;
-  for (size_t s = 1; s < shards; ++s) {
-    if (partial[s].gh_bins.empty()) continue;
-    for (size_t i = 0; i < out.gh_bins.size(); ++i) {
-      out.gh_bins[i] =
-          backend.HAdd(out.gh_bins[i], partial[s].gh_bins[i], &merge_scalings);
-      ++merge_hadds;
+  const size_t total = layout.total_bins();
+  AccumulatorStats local;
+  for (size_t c = 0; c < slots.channels; ++c) {
+    // Signed slots can be negative: the channel's shift, added once to the
+    // first bin of each feature, carries into every prefix (Fig. 9 step 1).
+    // gh slots are offset-encoded nonnegative and need none.
+    const Cipher shift =
+        slots.gh() ? Cipher{}
+                   : backend.EncryptPublicAt(slots.shift[c], slots.exponent);
+    std::vector<Cipher> prefix;
+    prefix.reserve(total);
+    for (uint32_t f = 0; f < layout.num_features(); ++f) {
+      Cipher run;
+      for (size_t b = 0; b < layout.NumBins(f); ++b) {
+        Cipher& bin =
+            hist[c * total + layout.Flat(f, static_cast<uint32_t>(b))];
+        if (bin.exponent != slots.exponent) {
+          bin = backend.ScaleTo(bin, slots.exponent);
+          ++local.scalings;
+        }
+        if (b > 0) {
+          run.data = backend.HAddRaw(run.data, bin.data);
+          ++local.hadds;
+        } else {
+          run = std::move(bin);
+          if (!slots.gh()) {
+            run.data = backend.HAddRaw(run.data, shift.data);
+            ++local.hadds;
+          }
+        }
+        prefix.push_back(run);
+      }
+    }
+    for (size_t begin = 0; begin < total; begin += slots.capacity) {
+      const size_t end = std::min<size_t>(total, begin + slots.capacity);
+      const std::vector<Cipher> group(prefix.begin() + begin,
+                                      prefix.begin() + end);
+      VF2_ASSIGN_OR_RETURN(PackedCipher packed,
+                           PackCiphers(group, slots.slot_bits, backend));
+      out.push_back(std::move(packed));
+      ++local.packs;
     }
   }
   if (stats != nullptr) {
-    for (const AccumulatorStats& ps : partial_stats) {
-      stats->hadds += ps.hadds;
-      stats->scalings += ps.scalings;
-    }
-    stats->hadds += merge_hadds;
-    stats->scalings += merge_scalings;
+    stats->hadds += local.hadds;
+    stats->scalings += local.scalings;
+    stats->packs += local.packs;
   }
   return out;
 }
 
-Result<PackedHistogram> PackHistogram(const EncryptedHistogram& hist,
-                                      const FeatureLayout& layout,
-                                      size_t num_instances, double grad_bound,
-                                      const CipherBackend& backend,
-                                      AccumulatorStats* stats,
-                                      size_t min_slots) {
-  const FixedPointCodec& codec = backend.codec();
-  const int exponent = codec.max_exponent();
-
-  PackedHistogram out;
-  out.shift_g = static_cast<double>(num_instances) * grad_bound;
-  out.shift_h = 0;
-
-  // Widest slot value: a g prefix shifted into [0, 2*N*bound], encoded at
-  // the max exponent. One guard bit on top.
-  const double max_slot_value =
-      2.0 * out.shift_g *
-          std::pow(static_cast<double>(codec.base()), exponent) +
-      1.0;
-  const size_t slot_bits =
-      static_cast<size_t>(std::ceil(std::log2(max_slot_value))) + 1;
-  const size_t capacity =
-      MaxSlotsPerCipher(slot_bits, backend.plain_modulus().BitLength());
-  if (capacity < std::max<size_t>(2, min_slots)) {
-    return Status::InvalidArgument(
-        "key too small for packing: slot needs " + std::to_string(slot_bits) +
-        " bits, modulus has " +
-        std::to_string(backend.plain_modulus().BitLength()) + ", capacity " +
-        std::to_string(capacity) + " < " + std::to_string(min_slots));
-  }
-  out.slot_bits = static_cast<uint32_t>(slot_bits);
-
-  // Per-feature prefix sums, exponent-aligned, g shifted nonnegative.
-  const Cipher shift_cipher = backend.EncryptPublicAt(out.shift_g, exponent);
-  std::vector<Cipher> g_prefix, h_prefix;
-  g_prefix.reserve(layout.total_bins());
-  h_prefix.reserve(layout.total_bins());
-  size_t scalings = 0;
-  for (uint32_t f = 0; f < layout.num_features(); ++f) {
-    Cipher g_run, h_run;
-    for (size_t b = 0; b < layout.NumBins(f); ++b) {
-      const size_t flat = layout.Flat(f, static_cast<uint32_t>(b));
-      Cipher g_bin = backend.ScaleTo(hist.g_bins[flat], exponent);
-      if (g_bin.exponent != hist.g_bins[flat].exponent) ++scalings;
-      Cipher h_bin = backend.ScaleTo(hist.h_bins[flat], exponent);
-      if (h_bin.exponent != hist.h_bins[flat].exponent) ++scalings;
-      if (b == 0) {
-        // Shift once; every prefix then carries it (Fig. 9 step 1).
-        g_run.exponent = exponent;
-        g_run.data = backend.HAddRaw(g_bin.data, shift_cipher.data);
-        h_run = h_bin;
-      } else {
-        g_run.data = backend.HAddRaw(g_run.data, g_bin.data);
-        h_run.data = backend.HAddRaw(h_run.data, h_bin.data);
-      }
-      if (stats != nullptr) stats->hadds += 2;
-      g_prefix.push_back(g_run);
-      h_prefix.push_back(h_run);
-    }
-  }
-  if (stats != nullptr) stats->scalings += scalings;
-
-  auto pack_all = [&](const std::vector<Cipher>& prefix,
-                      std::vector<PackedCipher>* packs) -> Status {
-    for (size_t begin = 0; begin < prefix.size(); begin += capacity) {
-      const size_t end = std::min(prefix.size(), begin + capacity);
-      std::vector<Cipher> group(prefix.begin() + begin, prefix.begin() + end);
-      auto packed = PackCiphers(group, slot_bits, backend);
-      VF2_RETURN_IF_ERROR(packed.status());
-      packs->push_back(std::move(packed).value());
-    }
-    return Status::OK();
-  };
-  VF2_RETURN_IF_ERROR(pack_all(g_prefix, &out.g_packs));
-  VF2_RETURN_IF_ERROR(pack_all(h_prefix, &out.h_packs));
-  return out;
-}
-
-Result<Histogram> DecryptRawHistogram(const std::vector<Cipher>& g_bins,
-                                      const std::vector<Cipher>& h_bins,
-                                      const FeatureLayout& layout,
-                                      const CipherBackend& backend,
-                                      size_t* decryptions, ThreadPool* pool) {
-  if (g_bins.size() != layout.total_bins() || h_bins.size() != g_bins.size()) {
-    return Status::ProtocolError("histogram size does not match layout");
-  }
-  // One batch over g then h so the pool sees 4*total independent CRT halves.
-  std::vector<Cipher> batch;
-  batch.reserve(2 * g_bins.size());
-  batch.insert(batch.end(), g_bins.begin(), g_bins.end());
-  batch.insert(batch.end(), h_bins.begin(), h_bins.end());
-  const std::vector<double> values = backend.DecryptBatch(batch, pool);
-  Histogram hist(layout.total_bins());
-  for (size_t i = 0; i < g_bins.size(); ++i) {
-    hist.bin(i).g = values[i];
-    hist.bin(i).h = values[g_bins.size() + i];
-  }
-  if (decryptions != nullptr) *decryptions += 2 * g_bins.size();
-  return hist;
-}
-
-Result<Histogram> DecryptPackedHistogram(const PackedHistogram& packed,
-                                         const FeatureLayout& layout,
-                                         const CipherBackend& backend,
-                                         size_t* decryptions, ThreadPool* pool) {
+Result<Histogram> DecryptHistogram(const std::vector<PackedCipher>& ciphers,
+                                   const FeatureLayout& layout,
+                                   const SlotLayout& slots,
+                                   const CipherBackend& backend,
+                                   size_t* decryptions, ThreadPool* pool) {
   if (!backend.can_decrypt()) {
     return Status::CryptoError("backend has no private key");
   }
-  // Batch-decrypt every pack (g and h together) in one DecryptRawBatch so the
-  // pool can spread all the CRT halves, then decode serially (cheap).
+  const size_t total = layout.total_bins();
+  size_t num_slots = 0;
   std::vector<BigInt> raw;
-  raw.reserve(packed.g_packs.size() + packed.h_packs.size());
-  for (const PackedCipher& pc : packed.g_packs) raw.push_back(pc.data);
-  for (const PackedCipher& pc : packed.h_packs) raw.push_back(pc.data);
-  const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
-  if (decryptions != nullptr) *decryptions += raw.size();
-
-  size_t next = 0;
-  auto unpack_all =
-      [&](const std::vector<PackedCipher>& packs,
-          std::vector<double>* values) -> Status {
-    for (const PackedCipher& pc : packs) {
-      const std::vector<double> slots =
-          DecodePackedPlain(pc, plains[next++], backend);
-      values->insert(values->end(), slots.begin(), slots.end());
+  raw.reserve(ciphers.size());
+  for (const PackedCipher& pc : ciphers) {
+    // Only the layout's own geometry decodes to the right bins, and
+    // num_slots sizes the unpacking below.
+    if (pc.slot_bits != slots.slot_bits || pc.num_slots == 0 ||
+        pc.num_slots > slots.capacity) {
+      return Status::ProtocolError(
+          "histogram cipher geometry does not match the slot layout");
     }
-    return Status::OK();
-  };
-  std::vector<double> g_prefix, h_prefix;
-  VF2_RETURN_IF_ERROR(unpack_all(packed.g_packs, &g_prefix));
-  VF2_RETURN_IF_ERROR(unpack_all(packed.h_packs, &h_prefix));
-  if (g_prefix.size() < layout.total_bins() ||
-      h_prefix.size() < layout.total_bins()) {
-    return Status::ProtocolError("packed histogram too small for layout");
-  }
-
-  Histogram hist(layout.total_bins());
-  for (uint32_t f = 0; f < layout.num_features(); ++f) {
-    double prev_g = 0, prev_h = 0;
-    for (size_t b = 0; b < layout.NumBins(f); ++b) {
-      const size_t flat = layout.Flat(f, static_cast<uint32_t>(b));
-      const double g = g_prefix[flat] - packed.shift_g;
-      const double h = h_prefix[flat] - packed.shift_h;
-      hist.bin(flat).g = g - prev_g;
-      hist.bin(flat).h = h - prev_h;
-      prev_g = g;
-      prev_h = h;
-    }
-  }
-  return hist;
-}
-
-Result<std::vector<PackedCipher>> PackGhHistogram(
-    const EncryptedHistogram& hist, const FeatureLayout& layout,
-    const GhPackLayout& gh_layout, const CipherBackend& backend,
-    AccumulatorStats* stats, size_t min_slots) {
-  if (hist.gh_bins.size() != layout.total_bins()) {
-    return Status::InvalidArgument("gh histogram size does not match layout");
-  }
-  // A slot is one whole gh plaintext; the layout's accumulation bound is
-  // already sized for a full node, so prefix sums cannot overflow a slot.
-  const size_t slot_bits = gh_layout.total_bits();
-  const size_t capacity =
-      MaxSlotsPerCipher(slot_bits, backend.plain_modulus().BitLength());
-  if (capacity < std::max<size_t>(2, min_slots)) {
-    return Status::InvalidArgument(
-        "key too small for gh packing: slot needs " +
-        std::to_string(slot_bits) + " bits, modulus has " +
-        std::to_string(backend.plain_modulus().BitLength()) + ", capacity " +
-        std::to_string(capacity) + " < " + std::to_string(min_slots));
-  }
-
-  // Per-feature prefix sums. gh slots are offset-encoded nonnegative and the
-  // count slot rides along, so no shift cipher and no scalings (one shared
-  // exponent by construction).
-  std::vector<Cipher> prefix;
-  prefix.reserve(layout.total_bins());
-  for (uint32_t f = 0; f < layout.num_features(); ++f) {
-    Cipher run;
-    for (size_t b = 0; b < layout.NumBins(f); ++b) {
-      const size_t flat = layout.Flat(f, static_cast<uint32_t>(b));
-      if (b == 0) {
-        run = hist.gh_bins[flat];
-      } else {
-        run.data = backend.HAddRaw(run.data, hist.gh_bins[flat].data);
-        if (stats != nullptr) ++stats->hadds;
-      }
-      prefix.push_back(run);
-    }
-  }
-
-  std::vector<PackedCipher> packs;
-  for (size_t begin = 0; begin < prefix.size(); begin += capacity) {
-    const size_t end = std::min(prefix.size(), begin + capacity);
-    std::vector<Cipher> group(prefix.begin() + begin, prefix.begin() + end);
-    auto packed = PackCiphers(group, slot_bits, backend);
-    VF2_RETURN_IF_ERROR(packed.status());
-    packs.push_back(std::move(packed).value());
-  }
-  return packs;
-}
-
-Result<Histogram> DecryptRawGhHistogram(const std::vector<Cipher>& gh_bins,
-                                        const FeatureLayout& layout,
-                                        const GhPackLayout& gh_layout,
-                                        const CipherBackend& backend,
-                                        size_t* decryptions, ThreadPool* pool) {
-  if (gh_bins.size() != layout.total_bins()) {
-    return Status::ProtocolError("gh histogram size does not match layout");
-  }
-  if (!backend.can_decrypt()) {
-    return Status::CryptoError("backend has no private key");
-  }
-  std::vector<BigInt> raw;
-  raw.reserve(gh_bins.size());
-  for (const Cipher& c : gh_bins) raw.push_back(c.data);
-  const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
-  if (decryptions != nullptr) *decryptions += raw.size();
-
-  Histogram hist(layout.total_bins());
-  for (size_t i = 0; i < plains.size(); ++i) {
-    auto slots = DecodeGhSlots(gh_layout, plains[i]);
-    VF2_RETURN_IF_ERROR(slots.status());
-    hist.bin(i).g = slots.value().g;
-    hist.bin(i).h = slots.value().h;
-  }
-  return hist;
-}
-
-Result<Histogram> DecryptPackedGhHistogram(
-    const std::vector<PackedCipher>& gh_packs, const FeatureLayout& layout,
-    const GhPackLayout& gh_layout, const CipherBackend& backend,
-    size_t* decryptions, ThreadPool* pool) {
-  if (!backend.can_decrypt()) {
-    return Status::CryptoError("backend has no private key");
-  }
-  const size_t slot_bits = gh_layout.total_bits();
-  std::vector<BigInt> raw;
-  raw.reserve(gh_packs.size());
-  for (const PackedCipher& pc : gh_packs) {
-    if (pc.slot_bits != slot_bits) {
-      return Status::ProtocolError("gh pack slot width does not match layout");
-    }
+    num_slots += pc.num_slots;
     raw.push_back(pc.data);
   }
+  if (num_slots != slots.channels * total) {
+    return Status::ProtocolError("histogram size does not match layout");
+  }
   const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
   if (decryptions != nullptr) *decryptions += raw.size();
 
-  // Each unpacked slot is one accumulated gh prefix; decode then prefix-diff.
-  std::vector<GhSlots> prefix;
-  prefix.reserve(layout.total_bins());
-  for (size_t p = 0; p < gh_packs.size(); ++p) {
-    const std::vector<BigInt> slots =
-        UnpackPlaintext(plains[p], gh_packs[p].slot_bits,
-                        gh_packs[p].num_slots);
-    for (const BigInt& s : slots) {
-      auto decoded = DecodeGhSlots(gh_layout, s);
-      VF2_RETURN_IF_ERROR(decoded.status());
-      prefix.push_back(decoded.value());
+  // Slot i belongs to channel i / total and bin i % total.
+  std::vector<GradPair> values(total);
+  size_t next = 0;
+  for (size_t p = 0; p < ciphers.size(); ++p) {
+    for (const BigInt& slot : UnpackPlaintext(plains[p], slots.slot_bits,
+                                              ciphers[p].num_slots)) {
+      VF2_RETURN_IF_ERROR(slots.DecodeSlot(slot, ciphers[p].exponent,
+                                           next / total,
+                                           backend.plain_modulus(),
+                                           &values[next % total]));
+      ++next;
     }
   }
-  if (prefix.size() < layout.total_bins()) {
-    return Status::ProtocolError("packed gh histogram too small for layout");
-  }
 
-  Histogram hist(layout.total_bins());
+  Histogram hist(total);
+  if (!slots.packed()) {
+    for (size_t i = 0; i < total; ++i) hist.bin(i) = values[i];
+    return hist;
+  }
   for (uint32_t f = 0; f < layout.num_features(); ++f) {
-    double prev_g = 0, prev_h = 0;
+    GradPair prev;
     for (size_t b = 0; b < layout.NumBins(f); ++b) {
       const size_t flat = layout.Flat(f, static_cast<uint32_t>(b));
-      hist.bin(flat).g = prefix[flat].g - prev_g;
-      hist.bin(flat).h = prefix[flat].h - prev_h;
-      prev_g = prefix[flat].g;
-      prev_h = prefix[flat].h;
+      hist.bin(flat) = values[flat] - prev;
+      prev = values[flat];
     }
   }
   return hist;

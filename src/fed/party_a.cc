@@ -7,7 +7,6 @@
 #include "common/timer.h"
 #include "fed/checkpoint.h"
 #include "fed/placement.h"
-#include "gbdt/loss.h"
 #include "obs/flight_recorder.h"
 
 namespace vf2boost {
@@ -67,6 +66,10 @@ Status PartyAEngine::Setup() {
   VF2_ASSIGN_OR_RETURN(Message msg,
                        inbox_.ReceiveType(MessageType::kPublicKey));
   wait.Stop();
+  return AcceptKey(msg);
+}
+
+Status PartyAEngine::AcceptKey(const Message& msg) {
   if (config_.mock_crypto) {
     backend_ = std::make_unique<MockBackend>(config_.MakeCodec());
   } else {
@@ -76,6 +79,11 @@ Status PartyAEngine::Setup() {
     backend_ = std::make_unique<PaillierBackend>(std::move(pub).value(),
                                                  config_.MakeCodec());
   }
+  VF2_ASSIGN_OR_RETURN(
+      slot_layout_,
+      config_.MakeSlotLayout(data_.rows(),
+                             backend_->plain_modulus().BitLength()));
+  m_.gh_pack_ratio->Set(2.0 / slot_layout_.channels);
 
   LayoutPayload layout_msg;
   for (uint32_t f = 0; f < layout_.num_features(); ++f) {
@@ -91,20 +99,7 @@ Status PartyAEngine::ReplaySetup(const Message& msg) {
   // holds — but rebuild the backend from the wire bytes anyway: it is the
   // authoritative copy, and a mismatched relaunch (different seed or config)
   // must fail loudly at the next decode rather than silently diverge.
-  if (config_.mock_crypto) {
-    backend_ = std::make_unique<MockBackend>(config_.MakeCodec());
-  } else {
-    ByteReader r(msg.payload);
-    auto pub = PaillierPublicKey::Deserialize(&r);
-    VF2_RETURN_IF_ERROR(pub.status());
-    backend_ = std::make_unique<PaillierBackend>(std::move(pub).value(),
-                                                 config_.MakeCodec());
-  }
-  LayoutPayload layout_msg;
-  for (uint32_t f = 0; f < layout_.num_features(); ++f) {
-    layout_msg.bins_per_feature.push_back(layout_.NumBins(f));
-  }
-  inbox_.Send(EncodeLayout(layout_msg));
+  VF2_RETURN_IF_ERROR(AcceptKey(msg));
   VF2_LOG(Info) << "party A" << party_index_
                 << " setup replayed for relaunched party B (boundary "
                 << last_completed_tree_ << ")";
@@ -274,9 +269,7 @@ Status PartyAEngine::Recover(const Status& cause) {
   // the interrupted tree from its gradients, so everything this side built
   // for it is rebuilt from the fresh stream.
   inbox_.Clear();
-  g_ciphers_.clear();
-  h_ciphers_.clear();
-  gh_ciphers_.clear();
+  grad_ciphers_.clear();
   root_builder_.reset();
   node_instances_.clear();
   hist_epoch_.clear();
@@ -336,67 +329,33 @@ Status PartyAEngine::MaybeWriteCheckpoint() {
 Status PartyAEngine::ReceiveGradients(Message first, uint32_t* tree_id) {
   VF2_TRACE_SPAN("phase", "recv_gradients");
   const size_t n = data_.rows();
-  g_ciphers_.clear();
-  h_ciphers_.clear();
-  gh_ciphers_.clear();
+  const size_t channels = slot_layout_.channels;
+  grad_ciphers_.assign(n * channels, Cipher{});
   // Blaster streaming: accumulate each batch into the root histogram as soon
   // as it lands, so the root build overlaps B's encryption of later batches
   // (Fig. 4) instead of serializing behind the full gradient transfer. The
   // worker-pool build path shards instances instead, so streaming is
   // restricted to the serial builder; rows arrive in index order, making the
   // result identical to a post-hoc BuildEncryptedHistogram.
-  const bool stream_root = config_.blaster && pool_ == nullptr &&
-                           config_.gbdt.num_layers >= 2;
   root_builder_.reset();
+  if (config_.blaster && pool_ == nullptr && config_.gbdt.num_layers >= 2) {
+    root_builder_ = std::make_unique<IncrementalHistogramBuilder>(
+        &binned_, &layout_, &slot_layout_, backend_.get());
+  }
   root_build_seconds_ = 0;
   size_t received = 0;
-  bool first_batch = true;
   Message msg = std::move(first);
   for (;;) {
     GradBatchPayload batch;
     VF2_RETURN_IF_ERROR(DecodeGradBatch(msg, *backend_, &batch));
     *tree_id = batch.tree;
-    if (first_batch) {
-      // The stream's first batch decides the tree's mode (gh-packed vs
-      // classic) and carries the slot layout; stores and the streamed root
-      // builder are shaped accordingly before any row lands.
-      first_batch = false;
-      gh_mode_ = batch.gh;
-      if (gh_mode_) {
-        gh_layout_ = batch.gh_layout;
-        gh_ciphers_.assign(n, Cipher{});
-      } else {
-        g_ciphers_.assign(n, Cipher{});
-        h_ciphers_.assign(n, Cipher{});
-      }
-      m_.gh_pack_ratio->Set(gh_mode_ ? 2.0 : 1.0);
-      if (stream_root) {
-        root_builder_ = std::make_unique<IncrementalHistogramBuilder>(
-            &binned_, &layout_, backend_.get(), config_.reordered, gh_mode_);
-      }
-    } else if (batch.gh != gh_mode_) {
-      return Status::ProtocolError("mixed gh/classic gradient stream");
-    } else if (gh_mode_ &&
-               (batch.gh_layout.slot_bits != gh_layout_.slot_bits ||
-                batch.gh_layout.count_bits != gh_layout_.count_bits ||
-                batch.gh_layout.offset != gh_layout_.offset ||
-                batch.gh_layout.exponent != gh_layout_.exponent)) {
-      return Status::ProtocolError("gh layout changed mid-stream");
-    }
-    const size_t count = gh_mode_ ? batch.gh_ciphers.size() : batch.g.size();
-    if (batch.start + count > n) {
+    const size_t count = batch.ciphers.size() / channels;
+    if (batch.ciphers.size() % channels != 0 || batch.start > n ||
+        count > n - batch.start) {
       return Status::ProtocolError("grad batch out of range");
     }
-    if (gh_mode_) {
-      for (size_t k = 0; k < count; ++k) {
-        gh_ciphers_[batch.start + k] = std::move(batch.gh_ciphers[k]);
-      }
-    } else {
-      for (size_t k = 0; k < count; ++k) {
-        g_ciphers_[batch.start + k] = std::move(batch.g[k]);
-        h_ciphers_[batch.start + k] = std::move(batch.h[k]);
-      }
-    }
+    std::move(batch.ciphers.begin(), batch.ciphers.end(),
+              grad_ciphers_.begin() + batch.start * channels);
     // Streamed accumulation only grows contiguously from row 0: B sends
     // batches in order, but a duplicated/reordered delivery falls back to the
     // ordinary root build rather than double-counting rows.
@@ -408,16 +367,9 @@ Status PartyAEngine::ReceiveGradients(Message first, uint32_t* tree_id) {
         span.AddArg("node", static_cast<int64_t>(0));
         span.AddArg("streamed", static_cast<int64_t>(count));
       }
-      if (gh_mode_) {
-        root_builder_->AddRangeGh(
-            static_cast<uint32_t>(batch.start),
-            static_cast<uint32_t>(batch.start + count), gh_ciphers_);
-      } else {
-        root_builder_->AddRange(
-            static_cast<uint32_t>(batch.start),
-            static_cast<uint32_t>(batch.start + count), g_ciphers_,
-            h_ciphers_);
-      }
+      root_builder_->AddRange(static_cast<uint32_t>(batch.start),
+                              static_cast<uint32_t>(batch.start + count),
+                              grad_ciphers_);
       root_build_seconds_ += build_timer.ElapsedSeconds();
     } else {
       root_builder_.reset();
@@ -456,17 +408,11 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
       span.AddArg("epoch", static_cast<int64_t>(hist_epoch_[node]));
       span.AddArg("instances", static_cast<int64_t>(it->second.size()));
     }
-    if (use_streamed) {
-      hist = root_builder_->Finalize(&acc_stats);
-    } else if (gh_mode_) {
-      hist = BuildEncryptedHistogramGhParallel(
-          binned_, layout_, it->second, gh_ciphers_, *backend_,
-          config_.reordered, &acc_stats, pool_.get());
-    } else {
-      hist = BuildEncryptedHistogramParallel(
-          binned_, layout_, it->second, g_ciphers_, h_ciphers_, *backend_,
-          config_.reordered, &acc_stats, pool_.get());
-    }
+    hist = use_streamed
+               ? root_builder_->Finalize(&acc_stats)
+               : BuildEncryptedHistogram(binned_, layout_, slot_layout_,
+                                         it->second, grad_ciphers_, *backend_,
+                                         &acc_stats, pool_.get());
   }
   root_builder_.reset();
   m_.hadds->Add(acc_stats.hadds);
@@ -484,59 +430,18 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
   payload.node = node;
   payload.epoch = hist_epoch_[node];
 
-  if (gh_mode_) {
-    payload.gh = true;
-    bool packed_ok = false;
-    if (config_.packing) {
-      PhaseClock pack_clock(m_.phase_pack, "pack", m_.live);
-      AccumulatorStats pack_stats;
-      auto packed = PackGhHistogram(hist, layout_, gh_layout_, *backend_,
-                                    &pack_stats, config_.min_pack_slots);
-      if (packed.ok()) {
-        packed_ok = true;
-        payload.packed = true;
-        payload.gh_packs = std::move(packed).value();
-        m_.packs->Add(payload.gh_packs.size());
-        m_.hadds->Add(pack_stats.hadds);
-        m_.scalings->Add(pack_stats.scalings);
-      }
-    }
-    if (!packed_ok) {
-      // No packing, or key too small for the gh-wide slot: raw gh bins.
-      payload.packed = false;
-      payload.gh_bins = std::move(hist.gh_bins);
-    }
-  } else if (config_.packing) {
+  {
     PhaseClock pack_clock(m_.phase_pack, "pack", m_.live);
     AccumulatorStats pack_stats;
-    auto loss = MakeLoss(config_.gbdt.objective);
-    VF2_RETURN_IF_ERROR(loss.status());
-    auto packed = PackHistogram(hist, layout_, data_.rows(),
-                                loss.value()->GradientBound(), *backend_,
-                                &pack_stats, config_.min_pack_slots);
-    if (packed.ok()) {
-      payload.packed = true;
-      payload.shift_g = packed->shift_g;
-      payload.shift_h = packed->shift_h;
-      payload.g_packs = std::move(packed->g_packs);
-      payload.h_packs = std::move(packed->h_packs);
-      m_.packs->Add(payload.g_packs.size() + payload.h_packs.size());
-      m_.hadds->Add(pack_stats.hadds);
-      m_.scalings->Add(pack_stats.scalings);
-    } else {
-      // Key too small for the required slot width: fall back to raw.
-      payload.packed = false;
-      payload.g_bins = std::move(hist.g_bins);
-      payload.h_bins = std::move(hist.h_bins);
-    }
-  } else {
-    payload.g_bins = std::move(hist.g_bins);
-    payload.h_bins = std::move(hist.h_bins);
+    VF2_ASSIGN_OR_RETURN(payload.ciphers,
+                         PackHistogram(std::move(hist), layout_, slot_layout_,
+                                       *backend_, &pack_stats));
+    m_.packs->Add(pack_stats.packs);
+    m_.hadds->Add(pack_stats.hadds);
+    m_.scalings->Add(pack_stats.scalings);
   }
-  m_.ciphers_sent->Add(payload.g_bins.size() + payload.h_bins.size() +
-                       payload.gh_bins.size() + payload.g_packs.size() +
-                       payload.h_packs.size() + payload.gh_packs.size());
-  inbox_.Send(EncodeNodeHistogram(payload, *backend_));
+  m_.ciphers_sent->Add(payload.ciphers.size());
+  inbox_.Send(EncodeNodeHistogram(payload, slot_layout_, *backend_));
   return Status::OK();
 }
 

@@ -42,6 +42,9 @@ class PartyAEngine {
 
  private:
   Status Setup();
+  /// Builds the cipher backend and the slot layout from B's kPublicKey and
+  /// answers with this party's feature layout (kLayout).
+  Status AcceptKey(const Message& msg);
   /// Handles a mid-run kPublicKey: a relaunched Party B rerunning its setup
   /// phase. Rebuilds the cipher backend from the replayed key and re-sends
   /// this party's (unchanged) feature layout so B's setup receive completes.
@@ -93,14 +96,14 @@ class PartyAEngine {
   std::unique_ptr<ThreadPool> pool_;  // intra-party workers (config > 1)
   Rng rng_;
 
+  /// How gradients and histograms ride in ciphers, derived at setup from
+  /// the config, the row count and B's key (B derives the same one).
+  SlotLayout slot_layout_;
+
   // Per-tree state.
-  std::vector<Cipher> g_ciphers_;
-  std::vector<Cipher> h_ciphers_;
-  /// gh-packed stream: one [count|g|h] cipher per instance; the mode and
-  /// layout are announced by the stream's first batch and fixed per tree.
-  std::vector<Cipher> gh_ciphers_;
-  bool gh_mode_ = false;
-  GhPackLayout gh_layout_;
+  /// The tree's gradient stream: slot_layout_.channels ciphers per instance,
+  /// row-major.
+  std::vector<Cipher> grad_ciphers_;
   /// Root-node histogram accumulated batch-by-batch during blaster gradient
   /// streaming (overlaps with B's encryption); consumed by the layer-0 build.
   std::unique_ptr<IncrementalHistogramBuilder> root_builder_;

@@ -87,6 +87,7 @@ Status PartyBEngine::Setup() {
 
   // Key generation and handshake.
   Message key_msg{MessageType::kPublicKey, {}};
+  PaillierBackend* paillier = nullptr;
   if (config_.mock_crypto) {
     backend_ = std::make_unique<MockBackend>(config_.MakeCodec());
   } else {
@@ -96,33 +97,32 @@ Status PartyBEngine::Setup() {
     auto pb =
         std::make_unique<PaillierBackend>(kp->pub, config_.MakeCodec());
     pb->SetPrivateKey(kp->priv);
-    if (config_.noise_pool_workers > 0 && config_.noise_pool_capacity > 0) {
-      // Per-tree nonce demand: gh packing halves it (one cipher per row),
-      // so don't pre-compute obfuscators that can never be consumed.
-      const size_t demand = std::max<size_t>(
-          1, data_.rows() * (config_.gh_pack ? 1 : 2));
-      noise_pool_ = std::make_shared<NoisePool>(
-          kp->pub, std::min<size_t>(config_.noise_pool_capacity, demand),
-          config_.noise_pool_workers,
-          config_.seed ^ 0x6e6f697365ULL);  // "noise"
-      noise_pool_->SetFillGauge(m_.noise_pool_fill);
-      pb->SetNoisePool(noise_pool_);
-    }
     ByteWriter w;
     kp->pub.Serialize(&w);
     key_msg.payload = w.Release();
+    paillier = pb.get();
     backend_ = std::move(pb);
   }
-  if (config_.gh_pack) {
-    // Fail fast: a layout that cannot hold a worst-case node accumulation
-    // (all rows in one node, every slot at its loss bound) is a config
-    // error, surfaced here before any ciphertext leaves the process.
-    auto gl = MakeGhPackLayout(
-        config_.MakeCodec(), data_.rows(),
-        std::max(loss_->GradientBound(), loss_->HessianBound()),
-        backend_->plain_modulus().BitLength());
-    VF2_RETURN_IF_ERROR(gl.status());
-    gh_layout_ = std::move(gl).value();
+  // Fail fast: a layout that cannot hold a worst-case node accumulation
+  // (all rows in one node, every slot at its loss bound) is a config error,
+  // surfaced here before any ciphertext leaves the process.
+  VF2_ASSIGN_OR_RETURN(
+      slot_layout_,
+      config_.MakeSlotLayout(data_.rows(),
+                             backend_->plain_modulus().BitLength()));
+  if (paillier != nullptr && config_.noise_pool_workers > 0 &&
+      config_.noise_pool_capacity > 0) {
+    // Per-tree nonce demand is one per cipher of the gradient stream, so
+    // don't pre-compute obfuscators that can never be consumed.
+    const size_t demand =
+        std::max<size_t>(1, data_.rows() * slot_layout_.channels);
+    noise_pool_ = std::make_shared<NoisePool>(
+        paillier->public_key(),
+        std::min<size_t>(config_.noise_pool_capacity, demand),
+        config_.noise_pool_workers,
+        config_.seed ^ 0x6e6f697365ULL);  // "noise"
+    noise_pool_->SetFillGauge(m_.noise_pool_fill);
+    paillier->SetNoisePool(noise_pool_);
   }
   setup_key_msg_ = key_msg;  // kept for replay to restarted A processes
   for (Inbox& inbox : inboxes_) {
@@ -190,73 +190,37 @@ void PartyBEngine::EncryptAndSendGradients(uint32_t tree_id) {
     GradBatchPayload payload;
     payload.tree = tree_id;
     payload.start = start;
-    if (config_.gh_pack) {
-      // One plaintext, one encryption, one wire cipher per instance: the
-      // (g, h) pair rides in a single gh-packed plaintext (the decrypt-wall
-      // halving the unpacked path pays for twice).
-      payload.gh = true;
-      payload.gh_layout = gh_layout_;
-      payload.gh_ciphers.resize(end - start);
-      auto encrypt_gh = [&](size_t i, Rng* rng) {
-        Cipher c;
-        c.exponent = gh_layout_.exponent;
-        c.data = backend_->EncryptRaw(
-            EncodeGhPair(gh_layout_, grads_[i].g, grads_[i].h), rng);
-        return c;
-      };
-      if (pool_ != nullptr) {
-        const uint64_t batch_seed = tree_rng.NextU64();
-        const size_t shards = pool_->num_threads();
-        const size_t chunk = (end - start + shards - 1) / shards;
-        pool_->ParallelFor(shards, [&](size_t s) {
-          Rng worker_rng(batch_seed ^ (0x9e37u + s));
-          const size_t lo = start + s * chunk;
-          const size_t hi = std::min(end, lo + chunk);
-          for (size_t i = lo; i < hi; ++i) {
-            payload.gh_ciphers[i - start] = encrypt_gh(i, &worker_rng);
-          }
-        });
-      } else {
-        for (size_t i = start; i < end; ++i) {
-          payload.gh_ciphers[i - start] = encrypt_gh(i, &tree_rng);
-        }
+    const size_t channels = slot_layout_.channels;
+    payload.ciphers.resize((end - start) * channels);
+    auto encrypt_rows = [&](size_t lo, size_t hi, Rng* rng) {
+      for (size_t i = lo; i < hi; ++i) {
+        slot_layout_.Encrypt(grads_[i], *backend_, rng,
+                             &payload.ciphers[(i - start) * channels]);
       }
-      m_.encryptions->Add(end - start);
-      m_.ciphers_sent->Add(end - start);
+    };
+    if (pool_ != nullptr) {
+      // Workers encrypt instance shards concurrently, each with its own
+      // deterministic nonce stream.
+      const uint64_t batch_seed = tree_rng.NextU64();
+      const size_t shards = pool_->num_threads();
+      const size_t chunk = (end - start + shards - 1) / shards;
+      pool_->ParallelFor(shards, [&](size_t s) {
+        Rng worker_rng(batch_seed ^ (0x9e37u + s));
+        const size_t lo = start + s * chunk;
+        encrypt_rows(lo, std::min(end, lo + chunk), &worker_rng);
+      });
     } else {
-      payload.g.resize(end - start);
-      payload.h.resize(end - start);
-      if (pool_ != nullptr) {
-        // Workers encrypt instance shards concurrently, each with its own
-        // deterministic nonce stream.
-        const uint64_t batch_seed = tree_rng.NextU64();
-        const size_t shards = pool_->num_threads();
-        const size_t chunk = (end - start + shards - 1) / shards;
-        pool_->ParallelFor(shards, [&](size_t s) {
-          Rng worker_rng(batch_seed ^ (0x9e37u + s));
-          const size_t lo = start + s * chunk;
-          const size_t hi = std::min(end, lo + chunk);
-          for (size_t i = lo; i < hi; ++i) {
-            payload.g[i - start] = backend_->Encrypt(grads_[i].g, &worker_rng);
-            payload.h[i - start] = backend_->Encrypt(grads_[i].h, &worker_rng);
-          }
-        });
-      } else {
-        for (size_t i = start; i < end; ++i) {
-          payload.g[i - start] = backend_->Encrypt(grads_[i].g, &tree_rng);
-          payload.h[i - start] = backend_->Encrypt(grads_[i].h, &tree_rng);
-        }
-      }
-      m_.encryptions->Add(2 * (end - start));
-      m_.ciphers_sent->Add(2 * (end - start));
+      encrypt_rows(start, end, &tree_rng);
     }
+    m_.encryptions->Add(payload.ciphers.size());
+    m_.ciphers_sent->Add(payload.ciphers.size());
     // The same ciphers go to every A party.
     for (Inbox& inbox : inboxes_) {
       inbox.Send(EncodeGradBatch(payload, *backend_));
     }
     m_.phase_encrypt->Observe(timer.ElapsedSeconds());
   }
-  m_.gh_pack_ratio->Set(config_.gh_pack ? 2.0 : 1.0);
+  m_.gh_pack_ratio->Set(2.0 / slot_layout_.channels);
 }
 
 Status PartyBEngine::CollectHistograms(
@@ -271,7 +235,8 @@ Status PartyBEngine::CollectHistograms(
           Message msg, inboxes_[p].ReceiveType(MessageType::kNodeHistogram));
       wait.Stop();
       NodeHistogramPayload payload;
-      VF2_RETURN_IF_ERROR(DecodeNodeHistogram(msg, *backend_, &payload));
+      VF2_RETURN_IF_ERROR(
+          DecodeNodeHistogram(msg, slot_layout_, *backend_, &payload));
       if (payload.layer != layer) {
         return Status::ProtocolError("histogram for wrong layer");
       }
@@ -289,35 +254,13 @@ Status PartyBEngine::CollectHistograms(
       if (span.active()) {
         span.AddArg("node", static_cast<int64_t>(payload.node));
         span.AddArg("party", static_cast<int64_t>(p));
-        span.AddArg("packed", static_cast<int64_t>(payload.packed ? 1 : 0));
       }
-      if (payload.gh && !config_.gh_pack) {
-        return Status::ProtocolError(
-            "gh-packed histogram on an unpacked gradient stream");
-      }
-      // The decrypt helpers bump this on the calling thread only (the pool
+      // The decrypt path bumps this on the calling thread only (the pool
       // parallelizes CRT halves, not the counter), so a stack local is safe.
       size_t num_dec = 0;
-      Result<Histogram> hist = payload.gh
-          ? (payload.packed
-                 ? DecryptPackedGhHistogram(payload.gh_packs, a_layouts_[p],
-                                            gh_layout_, *backend_, &num_dec,
-                                            pool_.get())
-                 : DecryptRawGhHistogram(payload.gh_bins, a_layouts_[p],
-                                         gh_layout_, *backend_, &num_dec,
-                                         pool_.get()))
-          : payload.packed
-          ? [&]() {
-              PackedHistogram packed;
-              packed.shift_g = payload.shift_g;
-              packed.shift_h = payload.shift_h;
-              packed.g_packs = std::move(payload.g_packs);
-              packed.h_packs = std::move(payload.h_packs);
-              return DecryptPackedHistogram(packed, a_layouts_[p], *backend_,
-                                            &num_dec, pool_.get());
-            }()
-          : DecryptRawHistogram(payload.g_bins, payload.h_bins, a_layouts_[p],
-                                *backend_, &num_dec, pool_.get());
+      Result<Histogram> hist =
+          DecryptHistogram(payload.ciphers, a_layouts_[p], slot_layout_,
+                           *backend_, &num_dec, pool_.get());
       VF2_RETURN_IF_ERROR(hist.status());
       m_.decryptions->Add(num_dec);
       m_.phase_decrypt->Observe(dec_timer.ElapsedSeconds());

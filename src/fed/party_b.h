@@ -101,9 +101,9 @@ class PartyBEngine {
   BinnedMatrix binned_;
   FeatureLayout layout_;
   std::vector<FeatureLayout> a_layouts_;
-  /// Slot layout of the gh-packed gradient stream (config_.gh_pack only),
-  /// sized at Setup against the key and the loss bounds — fail-fast.
-  GhPackLayout gh_layout_;
+  /// How gradients and histograms ride in ciphers, derived at Setup from
+  /// the config, the row count and the key (A derives the same one).
+  SlotLayout slot_layout_;
   /// The kPublicKey message from Setup, kept for replay: a restarted A
   /// process (hello with needs_setup) missed the original setup phase.
   Message setup_key_msg_;

@@ -4,6 +4,7 @@
 
 #include "common/bytes.h"
 #include "fed/placement.h"
+#include "gbdt/loss.h"
 
 namespace vf2boost {
 
@@ -96,6 +97,20 @@ uint64_t FedConfig::Fingerprint() const {
   return h;
 }
 
+Result<SlotLayout> FedConfig::MakeSlotLayout(
+    uint64_t rows, size_t plain_modulus_bits) const {
+  VF2_ASSIGN_OR_RETURN(std::unique_ptr<Loss> loss, MakeLoss(gbdt.objective));
+  SlotLayoutParams params;
+  params.gh = gh_pack;
+  params.packing = packing;
+  params.min_pack_slots = min_pack_slots;
+  params.reordered = reordered;
+  params.max_count = rows;
+  params.grad_bound = loss->GradientBound();
+  params.hess_bound = loss->HessianBound();
+  return vf2boost::MakeSlotLayout(MakeCodec(), params, plain_modulus_bits);
+}
+
 namespace {
 
 void PutPackedCipher(const PackedCipher& pc, ByteWriter* w) {
@@ -114,36 +129,6 @@ Status GetPackedCipher(ByteReader* r, PackedCipher* pc) {
   pc->data = BigInt::FromLimbs(std::move(limbs));
   return Status::OK();
 }
-
-void PutGhLayout(const GhPackLayout& layout, ByteWriter* w) {
-  w->PutU32(layout.base);
-  w->PutI32(layout.exponent);
-  w->PutU32(layout.slot_bits);
-  w->PutU32(layout.count_bits);
-  w->PutU64(layout.offset);
-  w->PutU64(layout.max_count);
-  w->PutDouble(layout.value_bound);
-}
-
-Status GetGhLayout(ByteReader* r, GhPackLayout* layout) {
-  VF2_RETURN_IF_ERROR(r->GetU32(&layout->base));
-  VF2_RETURN_IF_ERROR(r->GetI32(&layout->exponent));
-  VF2_RETURN_IF_ERROR(r->GetU32(&layout->slot_bits));
-  VF2_RETURN_IF_ERROR(r->GetU32(&layout->count_bits));
-  VF2_RETURN_IF_ERROR(r->GetU64(&layout->offset));
-  VF2_RETURN_IF_ERROR(r->GetU64(&layout->max_count));
-  VF2_RETURN_IF_ERROR(r->GetDouble(&layout->value_bound));
-  return Status::OK();
-}
-
-constexpr uint8_t kGradFormatClassic = 0;
-constexpr uint8_t kGradFormatGh = 1;
-
-// NodeHistogram wire format byte: the original bool kept values 0/1.
-constexpr uint8_t kHistFormatRaw = 0;
-constexpr uint8_t kHistFormatPacked = 1;
-constexpr uint8_t kHistFormatGhRaw = 2;
-constexpr uint8_t kHistFormatGhPacked = 3;
 
 }  // namespace
 
@@ -176,14 +161,7 @@ Message EncodeGradBatch(const GradBatchPayload& p, const CipherBackend& b) {
   ByteWriter w;
   w.PutU32(p.tree);
   w.PutU64(p.start);
-  w.PutU8(p.gh ? kGradFormatGh : kGradFormatClassic);
-  if (p.gh) {
-    PutGhLayout(p.gh_layout, &w);
-    PutCipherVector(p.gh_ciphers, b, &w);
-  } else {
-    PutCipherVector(p.g, b, &w);
-    PutCipherVector(p.h, b, &w);
-  }
+  PutCipherVector(p.ciphers, b, &w);
   return {MessageType::kGradBatch, w.Release()};
 }
 
@@ -192,108 +170,50 @@ Status DecodeGradBatch(const Message& m, const CipherBackend& b,
   ByteReader r(m.payload);
   VF2_RETURN_IF_ERROR(r.GetU32(&p->tree));
   VF2_RETURN_IF_ERROR(r.GetU64(&p->start));
-  uint8_t format = 0;
-  VF2_RETURN_IF_ERROR(r.GetU8(&format));
-  if (format > kGradFormatGh) {
-    return Status::Corruption("unknown grad batch format");
-  }
-  p->gh = format == kGradFormatGh;
-  if (p->gh) {
-    VF2_RETURN_IF_ERROR(GetGhLayout(&r, &p->gh_layout));
-    // Fit against the receiver's key is the caller's job (it knows the
-    // backend's modulus); the structural half is checked here so a corrupt
-    // descriptor never reaches slot arithmetic.
-    VF2_RETURN_IF_ERROR(
-        ValidateGhPackLayout(p->gh_layout, b.plain_modulus().BitLength()));
-    VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->gh_ciphers));
-  } else {
-    VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->g));
-    VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->h));
-    if (p->g.size() != p->h.size()) {
-      return Status::Corruption("grad batch g/h size mismatch");
-    }
-  }
-  return Status::OK();
+  return GetCipherVector(&r, b, &p->ciphers);
 }
 
 Message EncodeNodeHistogram(const NodeHistogramPayload& p,
-                            const CipherBackend& b) {
+                            const SlotLayout& layout, const CipherBackend& b) {
   ByteWriter w;
   w.PutU32(p.tree);
   w.PutU32(p.layer);
   w.PutI32(p.node);
   w.PutU32(p.epoch);
-  const uint8_t format =
-      p.gh ? (p.packed ? kHistFormatGhPacked : kHistFormatGhRaw)
-           : (p.packed ? kHistFormatPacked : kHistFormatRaw);
-  w.PutU8(format);
-  if (p.gh) {
-    if (p.packed) {
-      w.PutU64(p.gh_packs.size());
-      for (const PackedCipher& pc : p.gh_packs) PutPackedCipher(pc, &w);
+  w.PutU64(p.ciphers.size());
+  for (const PackedCipher& pc : p.ciphers) {
+    if (layout.packed()) {
+      PutPackedCipher(pc, &w);
     } else {
-      PutCipherVector(p.gh_bins, b, &w);
+      b.SerializeCipher({pc.data, pc.exponent}, &w);
     }
-  } else if (p.packed) {
-    w.PutDouble(p.shift_g);
-    w.PutDouble(p.shift_h);
-    w.PutU64(p.g_packs.size());
-    for (const PackedCipher& pc : p.g_packs) PutPackedCipher(pc, &w);
-    w.PutU64(p.h_packs.size());
-    for (const PackedCipher& pc : p.h_packs) PutPackedCipher(pc, &w);
-  } else {
-    PutCipherVector(p.g_bins, b, &w);
-    PutCipherVector(p.h_bins, b, &w);
   }
   return {MessageType::kNodeHistogram, w.Release()};
 }
 
-Status DecodeNodeHistogram(const Message& m, const CipherBackend& b,
-                           NodeHistogramPayload* p) {
+Status DecodeNodeHistogram(const Message& m, const SlotLayout& layout,
+                           const CipherBackend& b, NodeHistogramPayload* p) {
   ByteReader r(m.payload);
   VF2_RETURN_IF_ERROR(r.GetU32(&p->tree));
   VF2_RETURN_IF_ERROR(r.GetU32(&p->layer));
   VF2_RETURN_IF_ERROR(r.GetI32(&p->node));
   VF2_RETURN_IF_ERROR(r.GetU32(&p->epoch));
-  uint8_t format = 0;
-  VF2_RETURN_IF_ERROR(r.GetU8(&format));
-  if (format > kHistFormatGhPacked) {
-    return Status::Corruption("unknown node histogram format");
+  uint64_t n = 0;
+  VF2_RETURN_IF_ERROR(r.GetU64(&n));
+  // Every serialized cipher needs at least an exponent + limb count; a
+  // hostile count must never drive the allocation.
+  if (n > r.remaining() / 12) {
+    return Status::Corruption("histogram cipher count exceeds payload");
   }
-  p->gh = format == kHistFormatGhRaw || format == kHistFormatGhPacked;
-  p->packed = format == kHistFormatPacked || format == kHistFormatGhPacked;
-  auto get_packs = [&r](std::vector<PackedCipher>* packs) -> Status {
-    uint64_t n = 0;
-    VF2_RETURN_IF_ERROR(r.GetU64(&n));
-    if (n > r.remaining() / 20) {  // min serialized PackedCipher size
-      return Status::Corruption("pack count exceeds payload");
-    }
-    packs->clear();
-    packs->reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-      PackedCipher pc;
+  p->ciphers.assign(static_cast<size_t>(n), PackedCipher{});
+  for (PackedCipher& pc : p->ciphers) {
+    if (layout.packed()) {
       VF2_RETURN_IF_ERROR(GetPackedCipher(&r, &pc));
-      packs->push_back(std::move(pc));
+      continue;
     }
-    return Status::OK();
-  };
-  if (p->gh) {
-    if (p->packed) {
-      VF2_RETURN_IF_ERROR(get_packs(&p->gh_packs));
-    } else {
-      VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->gh_bins));
-    }
-  } else if (p->packed) {
-    VF2_RETURN_IF_ERROR(r.GetDouble(&p->shift_g));
-    VF2_RETURN_IF_ERROR(r.GetDouble(&p->shift_h));
-    VF2_RETURN_IF_ERROR(get_packs(&p->g_packs));
-    VF2_RETURN_IF_ERROR(get_packs(&p->h_packs));
-  } else {
-    VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->g_bins));
-    VF2_RETURN_IF_ERROR(GetCipherVector(&r, b, &p->h_bins));
-    if (p->g_bins.size() != p->h_bins.size()) {
-      return Status::Corruption("histogram g/h size mismatch");
-    }
+    Cipher c;
+    VF2_RETURN_IF_ERROR(b.DeserializeCipher(&r, &c));
+    pc = {std::move(c.data), c.exponent, 0, 1};
   }
   return Status::OK();
 }

@@ -40,26 +40,31 @@ struct FedConfig {
   /// §4.1 blaster-style encryption: stream gradients in batches.
   bool blaster = false;
   size_t blaster_batch = 2048;
-  /// §5.1 re-ordered histogram accumulation.
+  /// §5.1 re-ordered histogram accumulation. Acts only on the signed
+  /// (randomized-exponent) slot layout: under gh_pack every cipher shares
+  /// one exponent, so the layout keeps plain accumulation (see SlotLayout).
   bool reordered = false;
   /// §4.2 optimistic node-splitting with dirty-node rollback.
   bool optimistic = false;
-  /// §5.2 polynomial-based histogram packing.
+  /// §5.2 polynomial-based histogram packing: selects the packed transfer
+  /// form of the slot layout (see SlotLayout), fixed once at setup.
   bool packing = false;
-  /// Cipher-level gh packing: Party B encodes each instance's (g, h) pair
-  /// into ONE plaintext ([count|g|h] slots, see crypto/encoding.h) and
-  /// encrypts once, halving the gradient-stream encryptions and transfers;
-  /// Party A accumulates one cipher per instance per bin and B decrypts one
-  /// plaintext per bin. Composes with `packing`: gh prefix sums are packed
-  /// K-per-cipher with slot width = the gh layout's total width. The layout
-  /// is sized at Setup from the row count and the loss's gradient/hessian
-  /// bounds and fails fast (InvalidArgument) when it cannot fit the key.
-  /// Trades away the randomized-exponent obfuscation of the unpacked stream
-  /// (all gh slots share the codec's minimum exponent).
+  /// Cipher-level gh packing: selects the gh slot layout, where Party B
+  /// encodes each instance's (g, h) pair into ONE plaintext ([count|g|h]
+  /// slots, see SlotLayout in crypto/encoding.h) and encrypts once, halving
+  /// the gradient-stream encryptions and transfers; Party A accumulates one
+  /// cipher per instance per bin and B decrypts one plaintext per bin.
+  /// Composes with `packing`: gh prefix sums are packed K-per-cipher with
+  /// slot width = one whole gh plaintext. Both parties size the layout at
+  /// setup from the row count and the loss's gradient/hessian bounds; it
+  /// fails fast (InvalidArgument) when it cannot fit the key. Trades away
+  /// the randomized-exponent obfuscation of the signed stream (all gh slots
+  /// share the codec's minimum exponent), which also leaves `reordered`
+  /// nothing to do.
   bool gh_pack = false;
-  /// Packing is skipped (raw histograms sent) when fewer than this many
-  /// slots fit one cipher — packing a slot costs ~M squarings, so small keys
-  /// can make it a net loss. The paper's S=2048/M=64 yields 31 slots.
+  /// The slot layout stays raw when fewer than this many slots fit one
+  /// cipher — packing a slot costs ~M squarings, so small keys can make it a
+  /// net loss. The paper's S=2048/M=64 yields 31 slots.
   size_t min_pack_slots = 2;
 
   /// Intra-party data parallelism: each party runs this many workers over
@@ -145,6 +150,12 @@ struct FedConfig {
     return FixedPointCodec(codec_base, codec_min_exponent,
                            codec_num_exponents);
   }
+
+  /// The session's histogram slot layout. Both parties derive it at setup
+  /// from this (fingerprinted) config, the aligned row count and the key's
+  /// plaintext modulus, so it never travels on the wire.
+  Result<SlotLayout> MakeSlotLayout(uint64_t rows,
+                                    size_t plain_modulus_bits) const;
 
   /// Rejects configurations that would fail mid-protocol: too-small keys,
   /// empty codec ranges, degenerate GBDT parameters.
@@ -253,51 +264,31 @@ void PutCipherVector(const std::vector<Cipher>& v, const CipherBackend& b,
 Status GetCipherVector(ByteReader* r, const CipherBackend& b,
                        std::vector<Cipher>* v);
 
+/// One slice of the gradient stream: SlotLayout::channels ciphers per
+/// instance, row-major, for instances [start, start + ciphers/channels).
 struct GradBatchPayload {
   uint32_t tree = 0;
   uint64_t start = 0;  ///< first instance index of the batch
-  std::vector<Cipher> g;
-  std::vector<Cipher> h;
-  /// gh-packed form: one cipher per instance carrying the [count|g|h]
-  /// plaintext of EncodeGhPair, plus the layout descriptor the receiver
-  /// needs to accumulate and pack within the sized slot bounds. When set,
-  /// `g`/`h` are empty and `gh_ciphers` holds the batch.
-  bool gh = false;
-  GhPackLayout gh_layout;
-  std::vector<Cipher> gh_ciphers;
+  std::vector<Cipher> ciphers;
 };
 Message EncodeGradBatch(const GradBatchPayload& p, const CipherBackend& b);
 Status DecodeGradBatch(const Message& m, const CipherBackend& b,
                        GradBatchPayload* p);
 
+/// One node's histogram in the session's slot layout (PackHistogram
+/// output). The layout fixes the wire form of `ciphers`: plain ciphers when
+/// raw, ciphers with their slot geometry when packed.
 struct NodeHistogramPayload {
   uint32_t tree = 0;
   uint32_t layer = 0;
   int32_t node = 0;
   uint32_t epoch = 0;
-  /// Wire format: (gh, packed) = (0,0) raw g/h bins, (0,1) §5.2-packed g/h
-  /// prefix sums, (1,0) raw gh bins, (1,1) §5.2-packed gh prefix sums.
-  bool packed = false;
-  bool gh = false;
-  // Raw form: one cipher per (feature, bin), flattened by the sender's
-  // layout.
-  std::vector<Cipher> g_bins;
-  std::vector<Cipher> h_bins;
-  // Packed form: per-feature prefix sums, shifted nonnegative, packed.
-  double shift_g = 0;
-  double shift_h = 0;
-  std::vector<PackedCipher> g_packs;
-  std::vector<PackedCipher> h_packs;
-  // gh forms: one gh cipher per bin (raw), or per-feature gh prefix sums
-  // packed K-per-cipher at slot width = the gh layout's total width. No
-  // shift ciphers: gh slots are offset-encoded nonnegative by construction.
-  std::vector<Cipher> gh_bins;
-  std::vector<PackedCipher> gh_packs;
+  std::vector<PackedCipher> ciphers;
 };
 Message EncodeNodeHistogram(const NodeHistogramPayload& p,
-                            const CipherBackend& b);
-Status DecodeNodeHistogram(const Message& m, const CipherBackend& b,
-                           NodeHistogramPayload* p);
+                            const SlotLayout& layout, const CipherBackend& b);
+Status DecodeNodeHistogram(const Message& m, const SlotLayout& layout,
+                           const CipherBackend& b, NodeHistogramPayload* p);
 
 /// Final, resolved action for one node of a layer (sequential decisions and
 /// optimistic corrections both use this shape).

@@ -631,7 +631,9 @@ ResourceUsage SampleResourceUsage() {
         ru.ru_utime.tv_sec + ru.ru_utime.tv_usec * 1e-6;
     u.cpu_sys_seconds = ru.ru_stime.tv_sec + ru.ru_stime.tv_usec * 1e-6;
   }
-#if defined(__GLIBC__) && \
+  // Under AddressSanitizer glibc malloc is not the allocator in use, and
+  // mallinfo2 walks arenas that were never set up (it crashes): no source.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
     (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
   struct mallinfo2 mi = mallinfo2();
   u.heap_allocated_bytes = static_cast<uint64_t>(mi.uordblks);

@@ -90,7 +90,7 @@ TEST_F(CryptoFastPathTest, NoisePoolRoundTripConcurrent) {
       Rng rng(1000 + t);
       for (int i = 0; i < kPerConsumer; ++i) {
         const BigInt m = BigInt::RandomBelow(kp_.pub.n(), &rng);
-        const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take(&rng));
+        const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take());
         if (kp_.priv.Decrypt(c) != m) failures.fetch_add(1);
       }
     });
@@ -104,7 +104,7 @@ TEST_F(CryptoFastPathTest, NoisePoolRoundTripConcurrent) {
 TEST_F(CryptoFastPathTest, NoisePoolWithZeroWorkersFallsBackInline) {
   NoisePool pool(kp_.pub, /*capacity=*/8, /*workers=*/0, /*seed=*/5);
   const BigInt m(777);
-  const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take(&rng_));
+  const BigInt c = kp_.pub.EncryptWithNonce(m, pool.Take());
   EXPECT_EQ(kp_.priv.Decrypt(c), m);
   const NoisePool::Stats stats = pool.stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -122,6 +122,29 @@ TEST_F(CryptoFastPathTest, PooledBackendEncryptionDecrypts) {
   }
   const NoisePool::Stats stats = backend.noise_pool()->stats();
   EXPECT_EQ(stats.hits + stats.misses, 20u);
+}
+
+TEST_F(CryptoFastPathTest, PoolMissLeavesTheCallersRngAlone) {
+  // A hit and a miss must consume the same (no) caller randomness: the
+  // encryption rng also samples codec exponents, so a miss that drew from it
+  // would make every later exponent — and the scaling count — depend on
+  // pool timing.
+  auto full = std::make_shared<NoisePool>(kp_.pub, /*capacity=*/2,
+                                          /*workers=*/1, /*seed=*/11);
+  while (full->fill() < full->capacity()) std::this_thread::yield();
+  auto empty = std::make_shared<NoisePool>(kp_.pub, /*capacity=*/2,
+                                           /*workers=*/0, /*seed=*/11);
+  PaillierBackend hit(kp_.pub, FixedPointCodec());
+  hit.SetNoisePool(full);
+  PaillierBackend miss(kp_.pub, FixedPointCodec());
+  miss.SetNoisePool(empty);
+
+  Rng hit_rng(123), miss_rng(123);
+  hit.EncryptRaw(BigInt(5), &hit_rng);
+  miss.EncryptRaw(BigInt(5), &miss_rng);
+  EXPECT_EQ(full->stats().hits, 1u);
+  EXPECT_EQ(empty->stats().misses, 1u);
+  EXPECT_EQ(hit_rng.NextU64(), miss_rng.NextU64());
 }
 
 TEST_F(CryptoFastPathTest, DecryptBatchMatchesSerial) {

@@ -254,30 +254,102 @@ TEST(FedTrainerTest, GhPackedModelIsByteIdenticalToUnpacked) {
   EXPECT_LT(r_gh->stats.bytes_b_to_a, r_classic->stats.bytes_b_to_a);
 }
 
-TEST(FedTrainerTest, RealPaillierGhPackedMatchesMock) {
-  // The gh cipher path under real 256-bit Paillier: encode-once pairs,
-  // gh histograms, gh decrypt — decisions must match the mock run.
-  Fixture f = MakeFixture(200, 8, 0.6, {0.5, 0.5}, 43);
-  FedConfig config = FedConfig::Vf2Boost();
-  config.paillier_bits = 256;
-  config.gbdt.num_trees = 2;
-  config.gbdt.num_layers = 3;
-  config.gbdt.max_bins = 6;
-  config.codec_num_exponents = 1;
-  ASSERT_TRUE(config.gh_pack);
+// The slot-layout shape matrix: gh_pack x packing x {mock, 256-bit
+// Paillier} x workers_per_party. With a single codec exponent every shape
+// decodes bit-exactly, so every one must train the same model byte for
+// byte. (At 256 bits the gh plaintext is too wide to pack two per cipher,
+// so the gh+packing cell exercises the stay-raw decision.)
+struct ShapeParam {
+  bool gh_pack;
+  bool packing;
+  bool mock;
+  size_t workers;
+};
 
-  auto real = FedTrainer(config).Train(f.shards);
-  ASSERT_TRUE(real.ok()) << real.status().ToString();
-  FedConfig mock = config;
-  mock.mock_crypto = true;
-  auto mocked = FedTrainer(mock).Train(f.shards);
-  ASSERT_TRUE(mocked.ok()) << mocked.status().ToString();
+class SlotLayoutShapeTest : public ::testing::TestWithParam<ShapeParam> {
+ protected:
+  static const Fixture& Data() {
+    static const Fixture f = MakeFixture(800, 12, 0.5, {0.34, 0.33, 0.33}, 43);
+    return f;
+  }
 
-  auto j_real = real->ToJointModel(f.spec);
-  auto j_mock = mocked->ToJointModel(f.spec);
-  ASSERT_TRUE(j_real.ok());
-  ASSERT_TRUE(j_mock.ok());
-  EXPECT_EQ(ModelToString(*j_real), ModelToString(*j_mock));
+  static Result<std::string> Train(const ShapeParam& shape) {
+    FedConfig config = FedConfig::Vf2Boost();
+    config.paillier_bits = 256;
+    config.codec_num_exponents = 1;
+    config.gbdt.num_trees = 2;
+    config.gbdt.num_layers = 4;
+    config.gbdt.max_bins = 8;
+    config.gh_pack = shape.gh_pack;
+    config.packing = shape.packing;
+    config.mock_crypto = shape.mock;
+    config.workers_per_party = shape.workers;
+    VF2_ASSIGN_OR_RETURN(FedTrainResult result,
+                         FedTrainer(config).Train(Data().shards));
+    VF2_ASSIGN_OR_RETURN(GbdtModel joint, result.ToJointModel(Data().spec));
+    return ModelToString(joint);
+  }
+};
+
+TEST_P(SlotLayoutShapeTest, EveryShapeTrainsTheSameModel) {
+  // Reference: the paper's VF-GBDT shape (signed, raw) on mock crypto.
+  static const Result<std::string> reference =
+      Train({/*gh_pack=*/false, /*packing=*/false, /*mock=*/true, 1});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const Result<std::string> model = Train(GetParam());
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(*model, *reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, SlotLayoutShapeTest,
+    ::testing::ValuesIn([] {
+      std::vector<ShapeParam> shapes;
+      for (bool gh : {false, true}) {
+        for (bool packing : {false, true}) {
+          for (bool mock : {true, false}) {
+            for (size_t workers : {1, 2}) {
+              shapes.push_back({gh, packing, mock, workers});
+            }
+          }
+        }
+      }
+      return shapes;
+    }()),
+    [](const ::testing::TestParamInfo<ShapeParam>& info) {
+      const ShapeParam& p = info.param;
+      return std::string(p.gh_pack ? "Gh" : "Signed") +
+             (p.packing ? "Packed" : "Raw") +
+             (p.mock ? "Mock" : "Paillier") + "W" +
+             std::to_string(p.workers);
+    });
+
+TEST(FedTrainerTest, ReorderedIsInertUnderGhLayout) {
+  // gh ciphers all share one exponent, so the layout keeps plain
+  // accumulation whatever `reordered` says: same HAdds, no scalings, same
+  // model.
+  Fixture f = MakeFixture(800, 12, 0.5, {0.5, 0.5}, 45);
+  FedConfig on = FedConfig::Vf2Boost();
+  on.mock_crypto = true;
+  on.gbdt.num_trees = 2;
+  on.gbdt.num_layers = 4;
+  on.gbdt.max_bins = 8;
+  ASSERT_TRUE(on.reordered && on.gh_pack);
+  FedConfig off = on;
+  off.reordered = false;
+  auto r_on = FedTrainer(on).Train(f.shards);
+  auto r_off = FedTrainer(off).Train(f.shards);
+  ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
+  ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
+  EXPECT_GT(r_on->stats.hadds, 0u);
+  EXPECT_EQ(r_on->stats.hadds, r_off->stats.hadds);
+  EXPECT_EQ(r_on->stats.scalings, 0u);
+  EXPECT_EQ(r_off->stats.scalings, 0u);
+  auto j_on = r_on->ToJointModel(f.spec);
+  auto j_off = r_off->ToJointModel(f.spec);
+  ASSERT_TRUE(j_on.ok());
+  ASSERT_TRUE(j_off.ok());
+  EXPECT_EQ(ModelToString(*j_on), ModelToString(*j_off));
 }
 
 TEST(FedTrainerTest, RealPaillierEndToEnd) {

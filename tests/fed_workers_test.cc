@@ -26,32 +26,34 @@ TEST(ParallelHistogramTest, ShardMergeMatchesSerialBuild) {
   FeatureLayout layout = FeatureLayout::FromCuts(cuts);
 
   MockBackend backend(FixedPointCodec(16, 6, 4));
+  SlotLayoutParams params;
+  params.reordered = true;
+  params.max_count = data.rows();
+  auto slots = MakeSlotLayout(backend.codec(), params,
+                              backend.plain_modulus().BitLength());
+  ASSERT_TRUE(slots.ok());
   Rng rng(5);
-  std::vector<Cipher> g, h;
-  std::vector<double> plain_g;
+  std::vector<Cipher> ciphers;  // g, h per row
   for (size_t i = 0; i < data.rows(); ++i) {
-    const double v = rng.NextGaussian();
-    plain_g.push_back(v);
-    g.push_back(backend.Encrypt(v, &rng));
-    h.push_back(backend.Encrypt(0.25, &rng));
+    ciphers.push_back(backend.Encrypt(rng.NextGaussian(), &rng));
+    ciphers.push_back(backend.Encrypt(0.25, &rng));
   }
   std::vector<uint32_t> all(data.rows());
   std::iota(all.begin(), all.end(), 0);
 
   EncryptedHistogram serial = BuildEncryptedHistogram(
-      binned, layout, all, g, h, backend, /*reordered=*/true, nullptr);
+      binned, layout, *slots, all, ciphers, backend, nullptr);
 
   ThreadPool pool(4);
-  EncryptedHistogram parallel = BuildEncryptedHistogramParallel(
-      binned, layout, all, g, h, backend, /*reordered=*/true, nullptr, &pool);
+  EncryptedHistogram parallel = BuildEncryptedHistogram(
+      binned, layout, *slots, all, ciphers, backend, nullptr, &pool);
 
-  ASSERT_EQ(parallel.g_bins.size(), serial.g_bins.size());
-  for (size_t i = 0; i < serial.g_bins.size(); ++i) {
-    EXPECT_NEAR(backend.Decrypt(parallel.g_bins[i]),
-                backend.Decrypt(serial.g_bins[i]), 1e-6)
-        << "bin " << i;
-    EXPECT_NEAR(backend.Decrypt(parallel.h_bins[i]),
-                backend.Decrypt(serial.h_bins[i]), 1e-6);
+  ASSERT_EQ(serial.size(), 2 * layout.total_bins());
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_NEAR(backend.Decrypt(parallel[i]), backend.Decrypt(serial[i]),
+                1e-6)
+        << "cipher " << i;
   }
 }
 
@@ -66,17 +68,17 @@ TEST(ParallelHistogramTest, NullPoolFallsBackToSerial) {
   BinnedMatrix binned = BinnedMatrix::FromCsr(data.features, cuts);
   FeatureLayout layout = FeatureLayout::FromCuts(cuts);
   MockBackend backend;
+  SlotLayout slots;  // signed raw: g, h per row
   Rng rng(1);
-  std::vector<Cipher> g, h;
-  for (size_t i = 0; i < data.rows(); ++i) {
-    g.push_back(backend.Encrypt(1.0, &rng));
-    h.push_back(backend.Encrypt(1.0, &rng));
+  std::vector<Cipher> ciphers;
+  for (size_t i = 0; i < 2 * data.rows(); ++i) {
+    ciphers.push_back(backend.Encrypt(1.0, &rng));
   }
   std::vector<uint32_t> all(data.rows());
   std::iota(all.begin(), all.end(), 0);
-  EncryptedHistogram hist = BuildEncryptedHistogramParallel(
-      binned, layout, all, g, h, backend, false, nullptr, /*pool=*/nullptr);
-  EXPECT_EQ(hist.g_bins.size(), layout.total_bins());
+  EncryptedHistogram hist = BuildEncryptedHistogram(
+      binned, layout, slots, all, ciphers, backend, nullptr, /*pool=*/nullptr);
+  EXPECT_EQ(hist.size(), 2 * layout.total_bins());
 }
 
 struct WorkerFixture {

@@ -32,8 +32,13 @@ TEST(DecoderFuzzTest, RandomPayloadsNeverCrash) {
     (void)DecodeGradBatch(msg, backend, &grads);
 
     msg.type = MessageType::kNodeHistogram;
-    NodeHistogramPayload hist;
-    (void)DecodeNodeHistogram(msg, backend, &hist);
+    SlotLayout packed;
+    packed.slot_bits = 48;
+    packed.capacity = 9;
+    for (const SlotLayout& layout : {SlotLayout{}, packed}) {
+      NodeHistogramPayload hist;
+      (void)DecodeNodeHistogram(msg, layout, backend, &hist);
+    }
 
     msg.type = MessageType::kDecisions;
     DecisionsPayload decisions;
@@ -62,8 +67,8 @@ TEST(DecoderFuzzTest, TruncatedValidMessagesReturnCorruption) {
   payload.tree = 3;
   payload.start = 0;
   for (int i = 0; i < 4; ++i) {
-    payload.g.push_back(backend.Encrypt(0.5, &rng));
-    payload.h.push_back(backend.Encrypt(0.25, &rng));
+    payload.ciphers.push_back(backend.Encrypt(0.5, &rng));
+    payload.ciphers.push_back(backend.Encrypt(0.25, &rng));
   }
   Message full = EncodeGradBatch(payload, backend);
   for (size_t len = 0; len < full.payload.size(); ++len) {
@@ -77,7 +82,7 @@ TEST(DecoderFuzzTest, TruncatedValidMessagesReturnCorruption) {
   // The untruncated message decodes.
   GradBatchPayload out;
   EXPECT_TRUE(DecodeGradBatch(full, backend, &out).ok());
-  EXPECT_EQ(out.g.size(), 4u);
+  EXPECT_EQ(out.ciphers.size(), 8u);
 }
 
 TEST(DecoderFuzzTest, BitFlippedDecisionsAreStatusNotCrash) {

@@ -10,18 +10,29 @@
 namespace vf2boost {
 namespace {
 
+// gh layout of the slot codec for accumulating up to `max_count` pairs with
+// |g|,|h| <= bound.
+Result<SlotLayout> GhLayout(uint64_t max_count, double bound,
+                            size_t plain_bits) {
+  SlotLayoutParams params;
+  params.gh = true;
+  params.max_count = max_count;
+  params.grad_bound = bound;
+  params.hess_bound = bound;
+  return MakeSlotLayout(FixedPointCodec(16, 8, 1), params, plain_bits);
+}
+
 // Layout shared by most tests: up to 1000 rows, logistic-like bounds, a
 // 512-bit plaintext space (the mock surrogate / a small real key).
-GhPackLayout TestLayout(uint64_t max_count = 1000, double bound = 1.0,
-                        size_t plain_bits = 512) {
-  FixedPointCodec codec(16, 8, 1);
-  auto layout = MakeGhPackLayout(codec, max_count, bound, plain_bits);
+SlotLayout TestLayout(uint64_t max_count = 1000, double bound = 1.0,
+                      size_t plain_bits = 512) {
+  auto layout = GhLayout(max_count, bound, plain_bits);
   EXPECT_TRUE(layout.ok()) << layout.status().ToString();
   return layout.value();
 }
 
 TEST(GhCodec, SinglePairRoundTrip) {
-  const GhPackLayout layout = TestLayout();
+  const SlotLayout layout = TestLayout();
   const struct {
     double g, h;
   } cases[] = {
@@ -30,8 +41,8 @@ TEST(GhCodec, SinglePairRoundTrip) {
       {1.0, 1.0},        {-1.0, 1.0},    {0.0625, 0.0625},
   };
   for (const auto& c : cases) {
-    const BigInt plain = EncodeGhPair(layout, c.g, c.h);
-    auto slots = DecodeGhSlots(layout, plain);
+    const BigInt plain = layout.EncodeGh(c.g, c.h);
+    auto slots = layout.DecodeGh(plain);
     ASSERT_TRUE(slots.ok()) << slots.status().ToString();
     EXPECT_EQ(slots->count, 1u);
     EXPECT_NEAR(slots->g, c.g, 1e-6) << c.g;
@@ -42,17 +53,17 @@ TEST(GhCodec, SinglePairRoundTrip) {
 TEST(GhCodec, NegativeGradientsNeverBorrowAcrossSlots) {
   // The critical property: plaintext *sums* of offset-encoded pairs decode
   // to value sums, even when every gradient is at the negative bound.
-  const GhPackLayout layout = TestLayout(100);
+  const SlotLayout layout = TestLayout(100);
   BigInt acc;
   double want_g = 0, want_h = 0;
   for (int i = 0; i < 100; ++i) {
     const double g = -1.0;  // worst case: every slot at the negative bound
     const double h = (i % 2 == 0) ? 0.0 : 0.25;
-    acc += EncodeGhPair(layout, g, h);
+    acc += layout.EncodeGh(g, h);
     want_g += g;
     want_h += h;
   }
-  auto slots = DecodeGhSlots(layout, acc);
+  auto slots = layout.DecodeGh(acc);
   ASSERT_TRUE(slots.ok()) << slots.status().ToString();
   EXPECT_EQ(slots->count, 100u);
   EXPECT_NEAR(slots->g, want_g, 1e-6);
@@ -62,7 +73,7 @@ TEST(GhCodec, NegativeGradientsNeverBorrowAcrossSlots) {
 TEST(GhCodec, AccumulationIsExactAtDeterministicExponent) {
   // Base-16 exponent-8 encodings of dyadic values are integers; with a
   // single exponent the decoded sum must be bit-exact, not just close.
-  const GhPackLayout layout = TestLayout(256);
+  const SlotLayout layout = TestLayout(256);
   Rng rng(7);
   BigInt acc;
   double want_g = 0, want_h = 0;
@@ -71,11 +82,11 @@ TEST(GhCodec, AccumulationIsExactAtDeterministicExponent) {
     const double g =
         (static_cast<double>(rng.NextBounded(513)) - 256.0) / 256.0;
     const double h = static_cast<double>(rng.NextBounded(257)) / 256.0;
-    acc += EncodeGhPair(layout, g, h);
+    acc += layout.EncodeGh(g, h);
     want_g += g;
     want_h += h;
   }
-  auto slots = DecodeGhSlots(layout, acc);
+  auto slots = layout.DecodeGh(acc);
   ASSERT_TRUE(slots.ok());
   EXPECT_EQ(slots->count, 256u);
   EXPECT_EQ(slots->g * 256.0, want_g * 256.0);
@@ -86,12 +97,12 @@ TEST(GhCodec, WorstCaseAccumulationFitsTheSizedWidths) {
   // max_count pairs, all at +bound: the count and value slots must hold the
   // sums without spilling into the neighbor slot.
   const uint64_t kMax = 4096;
-  const GhPackLayout layout = TestLayout(kMax);
+  const SlotLayout layout = TestLayout(kMax);
   BigInt acc;
-  const BigInt one = EncodeGhPair(layout, 1.0, 1.0);
+  const BigInt one = layout.EncodeGh(1.0, 1.0);
   for (uint64_t i = 0; i < kMax; ++i) acc += one;
-  ASSERT_LE(acc.BitLength(), layout.total_bits());
-  auto slots = DecodeGhSlots(layout, acc);
+  ASSERT_LE(acc.BitLength(), layout.gh_bits());
+  auto slots = layout.DecodeGh(acc);
   ASSERT_TRUE(slots.ok()) << slots.status().ToString();
   EXPECT_EQ(slots->count, kMax);
   EXPECT_NEAR(slots->g, static_cast<double>(kMax), 1e-3);
@@ -99,98 +110,62 @@ TEST(GhCodec, WorstCaseAccumulationFitsTheSizedWidths) {
 }
 
 TEST(GhCodec, OversizedLayoutIsACaughtConfigError) {
-  // A 256-bit plaintext cannot hold two ~75-bit slots plus count at depth
-  // bounds this large; MakeGhPackLayout must refuse, not overflow silently.
-  FixedPointCodec codec(16, 8, 1);
-  auto layout = MakeGhPackLayout(codec, /*max_count=*/1u << 30,
-                                 /*value_bound=*/1.0,
-                                 /*plain_modulus_bits=*/128);
+  // A 128-bit plaintext cannot hold two ~75-bit slots plus count at depth
+  // bounds this large; MakeSlotLayout must refuse, not overflow silently.
+  auto layout = GhLayout(/*max_count=*/1u << 30, /*bound=*/1.0,
+                         /*plain_bits=*/128);
   ASSERT_FALSE(layout.ok());
   EXPECT_EQ(layout.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GhCodec, RejectsDegenerateInputs) {
-  FixedPointCodec codec(16, 8, 1);
-  EXPECT_FALSE(MakeGhPackLayout(codec, 0, 1.0, 512).ok());
-  EXPECT_FALSE(MakeGhPackLayout(codec, 10, 0.0, 512).ok());
-  EXPECT_FALSE(MakeGhPackLayout(codec, 10, -1.0, 512).ok());
-  EXPECT_FALSE(
-      MakeGhPackLayout(codec, 10, std::nan(""), 512).ok());
+  EXPECT_FALSE(GhLayout(0, 1.0, 512).ok());
+  EXPECT_FALSE(GhLayout(10, 0.0, 512).ok());
+  EXPECT_FALSE(GhLayout(10, -1.0, 512).ok());
+  EXPECT_FALSE(GhLayout(10, std::nan(""), 512).ok());
   // bound * B^e overflowing the u64 offset range.
-  EXPECT_FALSE(MakeGhPackLayout(codec, 10, 1e30, 4096).ok());
-}
-
-TEST(GhCodec, ValidateAcceptsMakeOutputsAndRejectsTampering) {
-  const GhPackLayout good = TestLayout();
-  EXPECT_TRUE(ValidateGhPackLayout(good, 512).ok());
-
-  GhPackLayout bad = good;
-  bad.slot_bits = good.slot_bits - 3;  // under the accumulation bound
-  EXPECT_FALSE(ValidateGhPackLayout(bad, 512).ok());
-
-  bad = good;
-  bad.slot_bits = (1u << 20) + 1;  // hostile allocation primitive
-  EXPECT_FALSE(ValidateGhPackLayout(bad, 512).ok());
-
-  bad = good;
-  bad.count_bits = 1;
-  EXPECT_FALSE(ValidateGhPackLayout(bad, 512).ok());
-
-  bad = good;
-  bad.offset = 0;
-  EXPECT_FALSE(ValidateGhPackLayout(bad, 512).ok());
-
-  bad = good;
-  bad.max_count = 0;
-  EXPECT_FALSE(ValidateGhPackLayout(bad, 512).ok());
-
-  bad = good;
-  bad.base = 1;
-  EXPECT_FALSE(ValidateGhPackLayout(bad, 512).ok());
-
-  // The same layout against a smaller key must not validate.
-  EXPECT_FALSE(ValidateGhPackLayout(good, good.total_bits() - 1).ok());
+  EXPECT_FALSE(GhLayout(10, 1e30, 4096).ok());
 }
 
 TEST(GhCodec, DecodeRejectsStrayHighBits) {
-  const GhPackLayout layout = TestLayout();
-  const BigInt plain = EncodeGhPair(layout, 0.5, 0.5);
-  const BigInt tampered = plain + (BigInt(1) << layout.total_bits());
-  auto slots = DecodeGhSlots(layout, tampered);
+  const SlotLayout layout = TestLayout();
+  const BigInt plain = layout.EncodeGh(0.5, 0.5);
+  const BigInt tampered = plain + (BigInt(1) << layout.gh_bits());
+  auto slots = layout.DecodeGh(tampered);
   ASSERT_FALSE(slots.ok());
   EXPECT_EQ(slots.status().code(), StatusCode::kCorruption);
 }
 
 TEST(GhCodec, DecodeRejectsCountAboveBound) {
-  const GhPackLayout layout = TestLayout(/*max_count=*/4);
+  const SlotLayout layout = TestLayout(/*max_count=*/4);
   BigInt acc;
-  const BigInt one = EncodeGhPair(layout, 0.0, 0.0);
+  const BigInt one = layout.EncodeGh(0.0, 0.0);
   for (int i = 0; i < 5; ++i) acc += one;  // one more than the bound
-  auto slots = DecodeGhSlots(layout, acc);
+  auto slots = layout.DecodeGh(acc);
   ASSERT_FALSE(slots.ok());
   EXPECT_EQ(slots.status().code(), StatusCode::kCorruption);
 }
 
 TEST(GhCodec, DecodeRejectsValueSlotOutsideOffsetWindow) {
-  const GhPackLayout layout = TestLayout();
+  const SlotLayout layout = TestLayout();
   // count = 1, but the h slot claims 3*offset: impossible for one pair.
-  const BigInt plain = (BigInt(1) << (2 * layout.slot_bits)) +
-                       (BigInt(layout.offset) << layout.slot_bits) +
+  const BigInt plain = (BigInt(1) << (2 * layout.value_bits)) +
+                       (BigInt(layout.offset) << layout.value_bits) +
                        BigInt(3) * BigInt(layout.offset);
-  auto slots = DecodeGhSlots(layout, plain);
+  auto slots = layout.DecodeGh(plain);
   ASSERT_FALSE(slots.ok());
   EXPECT_EQ(slots.status().code(), StatusCode::kCorruption);
 }
 
 TEST(GhCodecFuzz, RandomPlaintextsNeverCrashAndNeverDecodeOutOfRange) {
-  // Hostile-decoder fuzz: DecodeGhSlots over random bit patterns must either
+  // Hostile-decoder fuzz: DecodeGh over random bit patterns must either
   // fail cleanly or produce values inside the layout's advertised ranges.
-  const GhPackLayout layout = TestLayout();
+  const SlotLayout layout = TestLayout();
   Rng rng(0xf22);
   for (int iter = 0; iter < 20000; ++iter) {
-    const size_t bits = 1 + rng.NextBounded(layout.total_bits() + 64);
+    const size_t bits = 1 + rng.NextBounded(layout.gh_bits() + 64);
     const BigInt plain = BigInt::Random(bits, &rng);
-    auto slots = DecodeGhSlots(layout, plain);
+    auto slots = layout.DecodeGh(plain);
     if (!slots.ok()) {
       EXPECT_EQ(slots.status().code(), StatusCode::kCorruption);
       continue;
@@ -206,7 +181,7 @@ TEST(GhCodecFuzz, RandomPlaintextsNeverCrashAndNeverDecodeOutOfRange) {
 TEST(GhCodecFuzz, MutatedValidAccumulationsFailCleanlyOrStayBounded) {
   // Start from real accumulations and flip random bits: the decoder must
   // never abort, and whatever decodes must stay inside the count window.
-  const GhPackLayout layout = TestLayout(64);
+  const SlotLayout layout = TestLayout(64);
   Rng rng(0xabcdef);
   for (int iter = 0; iter < 5000; ++iter) {
     BigInt acc;
@@ -215,12 +190,12 @@ TEST(GhCodecFuzz, MutatedValidAccumulationsFailCleanlyOrStayBounded) {
       const double g =
           (static_cast<double>(rng.NextBounded(2001)) - 1000.0) / 1000.0;
       const double h = static_cast<double>(rng.NextBounded(1001)) / 1000.0;
-      acc += EncodeGhPair(layout, g, h);
+      acc += layout.EncodeGh(g, h);
     }
     // Flip up to 3 bits anywhere in (and one past) the layout width.
     const int flips = 1 + static_cast<int>(rng.NextBounded(3));
     for (int f = 0; f < flips; ++f) {
-      const size_t bit = rng.NextBounded(layout.total_bits() + 1);
+      const size_t bit = rng.NextBounded(layout.gh_bits() + 1);
       const BigInt mask = BigInt(1) << bit;
       if (acc.TestBit(bit)) {
         acc -= mask;
@@ -228,7 +203,7 @@ TEST(GhCodecFuzz, MutatedValidAccumulationsFailCleanlyOrStayBounded) {
         acc += mask;
       }
     }
-    auto slots = DecodeGhSlots(layout, acc);
+    auto slots = layout.DecodeGh(acc);
     if (!slots.ok()) {
       EXPECT_EQ(slots.status().code(), StatusCode::kCorruption);
       continue;

@@ -20,8 +20,8 @@ TEST_F(PayloadRoundTripTest, GradBatch) {
   payload.tree = 7;
   payload.start = 4096;
   for (int i = 0; i < 10; ++i) {
-    payload.g.push_back(backend_.Encrypt(0.1 * i - 0.5, &rng_));
-    payload.h.push_back(backend_.Encrypt(0.02 * i, &rng_));
+    payload.ciphers.push_back(backend_.Encrypt(0.1 * i - 0.5, &rng_));
+    payload.ciphers.push_back(backend_.Encrypt(0.02 * i, &rng_));
   }
   Message msg = EncodeGradBatch(payload, backend_);
   EXPECT_EQ(msg.type, MessageType::kGradBatch);
@@ -30,61 +30,64 @@ TEST_F(PayloadRoundTripTest, GradBatch) {
   ASSERT_TRUE(DecodeGradBatch(msg, backend_, &out).ok());
   EXPECT_EQ(out.tree, 7u);
   EXPECT_EQ(out.start, 4096u);
-  ASSERT_EQ(out.g.size(), 10u);
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(out.g[i].data, payload.g[i].data);
-    EXPECT_EQ(out.h[i].exponent, payload.h[i].exponent);
+  ASSERT_EQ(out.ciphers.size(), 20u);
+  for (size_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(out.ciphers[i].data, payload.ciphers[i].data);
+    EXPECT_EQ(out.ciphers[i].exponent, payload.ciphers[i].exponent);
   }
 }
 
 TEST_F(PayloadRoundTripTest, NodeHistogramRaw) {
+  const SlotLayout raw;  // signed, unpacked
   NodeHistogramPayload payload;
   payload.tree = 1;
   payload.layer = 3;
   payload.node = 12;
   payload.epoch = 1;
-  payload.packed = false;
   for (int i = 0; i < 6; ++i) {
-    payload.g_bins.push_back(backend_.Encrypt(i * 1.0, &rng_));
-    payload.h_bins.push_back(backend_.Encrypt(i * 0.25, &rng_));
+    const Cipher c = backend_.Encrypt(i * 1.0, &rng_);
+    payload.ciphers.push_back({c.data, c.exponent, 0, 1});
   }
-  Message msg = EncodeNodeHistogram(payload, backend_);
+  Message msg = EncodeNodeHistogram(payload, raw, backend_);
   NodeHistogramPayload out;
-  ASSERT_TRUE(DecodeNodeHistogram(msg, backend_, &out).ok());
+  ASSERT_TRUE(DecodeNodeHistogram(msg, raw, backend_, &out).ok());
   EXPECT_EQ(out.node, 12);
   EXPECT_EQ(out.epoch, 1u);
-  EXPECT_FALSE(out.packed);
-  ASSERT_EQ(out.g_bins.size(), 6u);
-  EXPECT_NEAR(backend_.Decrypt(out.g_bins[3]), 3.0, 1e-6);
+  ASSERT_EQ(out.ciphers.size(), 6u);
+  EXPECT_EQ(out.ciphers[3].num_slots, 1u);
+  EXPECT_NEAR(
+      backend_.Decrypt({out.ciphers[3].data, out.ciphers[3].exponent}), 3.0,
+      1e-6);
 }
 
 TEST_F(PayloadRoundTripTest, NodeHistogramPacked) {
+  SlotLayout packed;
+  packed.slot_bits = 40;
+  packed.capacity = 3;
   NodeHistogramPayload payload;
   payload.tree = 2;
   payload.layer = 1;
   payload.node = 5;
-  payload.packed = true;
-  payload.shift_g = 1000.0;
-  payload.shift_h = 0.0;
   PackedCipher pc;
   pc.data = BigInt(123456789);
   pc.exponent = 9;
   pc.slot_bits = 40;
   pc.num_slots = 3;
-  payload.g_packs.push_back(pc);
-  payload.h_packs.push_back(pc);
-  payload.h_packs.push_back(pc);
+  payload.ciphers.assign(3, pc);
 
-  Message msg = EncodeNodeHistogram(payload, backend_);
+  Message msg = EncodeNodeHistogram(payload, packed, backend_);
   NodeHistogramPayload out;
-  ASSERT_TRUE(DecodeNodeHistogram(msg, backend_, &out).ok());
-  EXPECT_TRUE(out.packed);
-  EXPECT_EQ(out.shift_g, 1000.0);
-  ASSERT_EQ(out.g_packs.size(), 1u);
-  ASSERT_EQ(out.h_packs.size(), 2u);
-  EXPECT_EQ(out.g_packs[0].data, BigInt(123456789));
-  EXPECT_EQ(out.g_packs[0].slot_bits, 40u);
-  EXPECT_EQ(out.g_packs[0].num_slots, 3u);
+  ASSERT_TRUE(DecodeNodeHistogram(msg, packed, backend_, &out).ok());
+  ASSERT_EQ(out.ciphers.size(), 3u);
+  EXPECT_EQ(out.ciphers[0].data, BigInt(123456789));
+  EXPECT_EQ(out.ciphers[0].exponent, 9);
+  EXPECT_EQ(out.ciphers[0].slot_bits, 40u);
+  EXPECT_EQ(out.ciphers[0].num_slots, 3u);
+
+  // A truncated frame fails cleanly under either layout.
+  msg.payload.resize(msg.payload.size() - 5);
+  EXPECT_FALSE(DecodeNodeHistogram(msg, packed, backend_, &out).ok());
+  EXPECT_FALSE(DecodeNodeHistogram(msg, SlotLayout{}, backend_, &out).ok());
 }
 
 TEST_F(PayloadRoundTripTest, DecisionsAllActionKinds) {
@@ -316,96 +319,6 @@ TEST_F(PayloadRoundTripTest, MetricsDeltaRejectsGarbage) {
   Message msg = EncodeMetricsDelta(payload);
   msg.payload.resize(msg.payload.size() / 2);
   EXPECT_FALSE(DecodeMetricsDelta(msg, &out).ok());
-}
-
-TEST_F(PayloadRoundTripTest, GradBatchGhPacked) {
-  FixedPointCodec codec(16, 8, 1);
-  auto layout = MakeGhPackLayout(codec, /*max_count=*/1000, /*value_bound=*/1.0,
-                                 backend_.plain_modulus().BitLength());
-  ASSERT_TRUE(layout.ok());
-  GradBatchPayload payload;
-  payload.tree = 3;
-  payload.start = 128;
-  payload.gh = true;
-  payload.gh_layout = layout.value();
-  for (int i = 0; i < 10; ++i) {
-    Cipher c;
-    c.exponent = layout->exponent;
-    c.data = backend_.EncryptRaw(
-        EncodeGhPair(*layout, 0.1 * i - 0.5, 0.02 * i), &rng_);
-    payload.gh_ciphers.push_back(c);
-  }
-  Message msg = EncodeGradBatch(payload, backend_);
-
-  GradBatchPayload out;
-  ASSERT_TRUE(DecodeGradBatch(msg, backend_, &out).ok());
-  EXPECT_TRUE(out.gh);
-  EXPECT_EQ(out.gh_layout.slot_bits, layout->slot_bits);
-  EXPECT_EQ(out.gh_layout.count_bits, layout->count_bits);
-  EXPECT_EQ(out.gh_layout.offset, layout->offset);
-  EXPECT_EQ(out.gh_layout.exponent, layout->exponent);
-  ASSERT_EQ(out.gh_ciphers.size(), 10u);
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(out.gh_ciphers[i].data, payload.gh_ciphers[i].data);
-  }
-  // A hostile layout descriptor (slot width inconsistent with its own
-  // bounds) must be rejected at decode, before any accumulation happens.
-  GradBatchPayload evil = payload;
-  evil.gh_layout.slot_bits = 4;
-  GradBatchPayload evil_out;
-  EXPECT_FALSE(
-      DecodeGradBatch(EncodeGradBatch(evil, backend_), backend_, &evil_out)
-          .ok());
-}
-
-TEST_F(PayloadRoundTripTest, NodeHistogramGhRawAndPacked) {
-  NodeHistogramPayload raw;
-  raw.tree = 2;
-  raw.layer = 1;
-  raw.node = 5;
-  raw.epoch = 0;
-  raw.gh = true;
-  raw.packed = false;
-  for (int i = 0; i < 4; ++i) {
-    Cipher c;
-    c.exponent = 8;
-    c.data = BigInt(static_cast<uint64_t>(1000 + i));
-    raw.gh_bins.push_back(c);
-  }
-  NodeHistogramPayload raw_out;
-  ASSERT_TRUE(
-      DecodeNodeHistogram(EncodeNodeHistogram(raw, backend_), backend_,
-                          &raw_out)
-          .ok());
-  EXPECT_TRUE(raw_out.gh);
-  EXPECT_FALSE(raw_out.packed);
-  ASSERT_EQ(raw_out.gh_bins.size(), 4u);
-  EXPECT_EQ(raw_out.gh_bins[2].data, raw.gh_bins[2].data);
-  EXPECT_TRUE(raw_out.g_bins.empty());
-
-  NodeHistogramPayload packed;
-  packed.tree = 2;
-  packed.layer = 1;
-  packed.node = 5;
-  packed.epoch = 1;
-  packed.gh = true;
-  packed.packed = true;
-  PackedCipher pc;
-  pc.data = BigInt(static_cast<uint64_t>(77777));
-  pc.exponent = 8;
-  pc.slot_bits = 96;
-  pc.num_slots = 3;
-  packed.gh_packs.push_back(pc);
-  NodeHistogramPayload packed_out;
-  ASSERT_TRUE(
-      DecodeNodeHistogram(EncodeNodeHistogram(packed, backend_), backend_,
-                          &packed_out)
-          .ok());
-  EXPECT_TRUE(packed_out.gh);
-  EXPECT_TRUE(packed_out.packed);
-  ASSERT_EQ(packed_out.gh_packs.size(), 1u);
-  EXPECT_EQ(packed_out.gh_packs[0].num_slots, 3u);
-  EXPECT_EQ(packed_out.gh_packs[0].slot_bits, 96u);
 }
 
 TEST(FedConfigTest, FingerprintCoversGhPack) {
