@@ -112,6 +112,17 @@ void BM_SMul(benchmark::State& state) {
 }
 BENCHMARK(BM_SMul)->Arg(256)->Arg(512)->Arg(1024);
 
+// Exponent alignment (§5.1): one step up, an SMul by B = 16.
+void BM_ScaleTo(benchmark::State& state) {
+  Setup& s = GetSetup(state.range(0));
+  const Cipher c = s.backend->EncryptAt(1.5, 8, &s.rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.backend->ScaleTo(c, c.exponent + 1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ScaleTo)->Arg(256)->Arg(512)->Arg(1024);
+
 // Pack a full cipher group (capacity slots) then decrypt once; items = slots
 // recovered per second — compare against BM_Decrypt for the ~t x claim.
 void BM_PackAndDecrypt(benchmark::State& state) {
@@ -173,6 +184,19 @@ SlotLayout GhLayoutFor(const PaillierBackend& backend, uint64_t max_count) {
   VF2_CHECK(layout.ok());
   return layout.value();
 }
+
+// One packing shift (§5.2): an SMul by 2^M at the gh slot width of a
+// 4000-row layout (a gh packed slot is one whole gh plaintext).
+void BM_PackShift(benchmark::State& state) {
+  Setup& s = GetSetup(state.range(0));
+  const Cipher c = s.backend->EncryptAt(1.5, 8, &s.rng);
+  const BigInt shift = BigInt(1) << GhLayoutFor(*s.backend, 4000).gh_bits();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.backend->SMulRaw(shift, c.data));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PackShift)->Arg(256)->Arg(512)->Arg(1024);
 
 // Decrypting one gh-packed bin recovers count, g and h in a single CRT
 // decryption — compare the items/s against BM_Decrypt (one stat per op).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -467,16 +468,26 @@ BigInt MontgomeryContext::Pow(const BigInt& base, const BigInt& exp) const {
   VF2_CHECK(!exp.IsNegative()) << "negative exponent";
   if (exp.IsZero()) return Mod(BigInt(1), m_);
 
-  // Fixed 4-bit window over raw limb buffers: table[d] = base^d in the
-  // Montgomery domain, then square-and-multiply window by window. One
-  // thread-local arena holds the table and the accumulator, so the whole
-  // loop performs no heap allocation.
-  constexpr size_t kWindow = 4;
-  constexpr size_t kTableSize = 1 << kWindow;
+  // Left-to-right square-and-multiply over raw limb buffers with a window
+  // picked from the exponent. A single set bit — every cipher shift Party A
+  // makes, B^k alignment and 2^M packing — and exponents under 24 bits
+  // (OpenSSL's BN_window_bits_for_exponent_size cutoff) take window 1: no
+  // table, so 2^j costs j squarings. Longer exponents take a fixed 4-bit
+  // window, table[d] = base^d in the Montgomery domain. The accumulator
+  // starts at the top window's entry rather than squaring one through it.
+  // One thread-local arena holds the table and the accumulator, so the
+  // whole loop performs no heap allocation.
+  constexpr size_t kMaxWindow = 4;
+  constexpr size_t kArenaEntries = (size_t{1} << kMaxWindow) + 1;  // + acc
+  const size_t bits = exp.BitLength();
+  size_t set_bits = 0;
+  for (uint64_t limb : exp.limbs()) set_bits += std::popcount(limb);
+  const size_t window = (set_bits == 1 || bits < 24) ? 1 : kMaxWindow;
+  const size_t table_size = size_t{1} << window;
   thread_local std::vector<uint64_t> arena;
-  if (arena.size() < (kTableSize + 1) * k_) arena.resize((kTableSize + 1) * k_);
-  uint64_t* table = arena.data();  // entry d at table + d*k_
-  uint64_t* acc = table + kTableSize * k_;
+  if (arena.size() < kArenaEntries * k_) arena.resize(kArenaEntries * k_);
+  uint64_t* table = arena.data();  // entry d at table + d*k_; d = 0 unused
+  uint64_t* acc = table + table_size * k_;
 
   const BigInt* b = &base;
   BigInt reduced;
@@ -484,23 +495,26 @@ BigInt MontgomeryContext::Pow(const BigInt& base, const BigInt& exp) const {
     reduced = Mod(base, m_);
     b = &reduced;
   }
-  std::copy(one_raw_.begin(), one_raw_.end(), table);  // d = 0
   LoadRaw(*b, table + k_);
   MulReduceRaw(table + k_, r2_raw_.data(), table + k_);  // into the domain
-  for (size_t d = 2; d < kTableSize; ++d) {
+  for (size_t d = 2; d < table_size; ++d) {
     MulReduceRaw(table + (d - 1) * k_, table + k_, table + d * k_);
   }
 
-  const size_t bits = exp.BitLength();
-  const size_t windows = (bits + kWindow - 1) / kWindow;
-  std::copy(one_raw_.begin(), one_raw_.end(), acc);
-  for (size_t w = windows; w-- > 0;) {
-    for (size_t s = 0; s < kWindow; ++s) MulReduceRaw(acc, acc, acc);
+  auto digit = [&](size_t w) {
     size_t idx = 0;
-    for (size_t s = 0; s < kWindow; ++s) {
-      const size_t bit = w * kWindow + (kWindow - 1 - s);
-      idx = (idx << 1) | (exp.TestBit(bit) ? 1 : 0);
+    for (size_t s = window; s-- > 0;) {
+      idx = (idx << 1) | (exp.TestBit(w * window + s) ? 1 : 0);
     }
+    return idx;
+  };
+  const size_t windows = (bits + window - 1) / window;
+  // The top window holds the exponent's leading bit, so its digit is nonzero.
+  const size_t top = digit(windows - 1);
+  std::copy(table + top * k_, table + (top + 1) * k_, acc);
+  for (size_t w = windows - 1; w-- > 0;) {
+    for (size_t s = 0; s < window; ++s) MulReduceRaw(acc, acc, acc);
+    const size_t idx = digit(w);
     if (idx) MulReduceRaw(acc, table + idx * k_, acc);
   }
   return FromMontRaw(acc);

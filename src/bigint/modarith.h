@@ -88,7 +88,9 @@ class MontgomeryContext {
   BigInt MontMul(const BigInt& a, const BigInt& b) const;
 
   /// base^exp mod m (inputs/outputs in the ordinary domain).
-  /// Uses a fixed 4-bit window over raw limb buffers.
+  /// Window 1 (no table) for a power-of-two or sub-24-bit exponent, so a
+  /// shift by 2^j costs j squarings between the two domain conversions;
+  /// a 4-bit window otherwise.
   BigInt Pow(const BigInt& base, const BigInt& exp) const;
 
   // --- raw-limb hot-path kernels (allocation-free) --------------------------

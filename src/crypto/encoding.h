@@ -156,7 +156,8 @@ struct SlotLayoutParams {
   bool gh = false;
   bool packing = false;
   /// Pack only when at least max(2, this) slots fit one cipher: packing a
-  /// slot costs ~M squarings, so small keys can make it a net loss.
+  /// slot costs M squarings (the SMul by 2^M) and one HAdd, so small keys
+  /// can make it a net loss.
   size_t min_pack_slots = 2;
   bool reordered = false;
   /// Accumulation bound: a node at any depth holds at most every row.

@@ -1,6 +1,7 @@
 #include "fed/enc_histogram.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace vf2boost {
 
@@ -100,7 +101,8 @@ Result<std::vector<PackedCipher>> PackHistogram(EncryptedHistogram hist,
                                                 const FeatureLayout& layout,
                                                 const SlotLayout& slots,
                                                 const CipherBackend& backend,
-                                                AccumulatorStats* stats) {
+                                                AccumulatorStats* stats,
+                                                ThreadPool* pool) {
   std::vector<PackedCipher> out;
   if (!slots.packed()) {
     out.reserve(hist.size());
@@ -111,6 +113,9 @@ Result<std::vector<PackedCipher>> PackHistogram(EncryptedHistogram hist,
   }
   const size_t total = layout.total_bins();
   AccumulatorStats local;
+  // Per-feature prefix sums of every channel, channel-major like `hist`.
+  std::vector<Cipher> prefix;
+  prefix.reserve(hist.size());
   for (size_t c = 0; c < slots.channels; ++c) {
     // Signed slots can be negative: the channel's shift, added once to the
     // first bin of each feature, carries into every prefix (Fig. 9 step 1).
@@ -118,8 +123,6 @@ Result<std::vector<PackedCipher>> PackHistogram(EncryptedHistogram hist,
     const Cipher shift =
         slots.gh() ? Cipher{}
                    : backend.EncryptPublicAt(slots.shift[c], slots.exponent);
-    std::vector<Cipher> prefix;
-    prefix.reserve(total);
     for (uint32_t f = 0; f < layout.num_features(); ++f) {
       Cipher run;
       for (size_t b = 0; b < layout.NumBins(f); ++b) {
@@ -142,20 +145,41 @@ Result<std::vector<PackedCipher>> PackHistogram(EncryptedHistogram hist,
         prefix.push_back(run);
       }
     }
-    for (size_t begin = 0; begin < total; begin += slots.capacity) {
-      const size_t end = std::min<size_t>(total, begin + slots.capacity);
-      const std::vector<Cipher> group(prefix.begin() + begin,
-                                      prefix.begin() + end);
-      VF2_ASSIGN_OR_RETURN(PackedCipher packed,
-                           PackCiphers(group, slots.slot_bits, backend));
-      out.push_back(std::move(packed));
-      ++local.packs;
-    }
   }
+
+  // A pack group is `capacity` consecutive prefix slots of one channel;
+  // groups are numbered channel by channel and each lands in its own output
+  // position, so the cipher order does not depend on the pool.
+  const size_t per_channel = (total + slots.capacity - 1) / slots.capacity;
+  const size_t groups = slots.channels * per_channel;
+  out.resize(groups);
+  std::vector<Status> status(groups);
+  auto pack = [&](size_t g) {
+    const size_t channel = g / per_channel;
+    const size_t begin = channel * total + (g % per_channel) * slots.capacity;
+    const size_t end =
+        std::min<size_t>((channel + 1) * total, begin + slots.capacity);
+    const std::vector<Cipher> group(
+        std::make_move_iterator(prefix.begin() + begin),
+        std::make_move_iterator(prefix.begin() + end));
+    Result<PackedCipher> packed = PackCiphers(group, slots.slot_bits, backend);
+    if (packed.ok()) {
+      out[g] = std::move(packed).value();
+    } else {
+      status[g] = packed.status();
+    }
+  };
+  if (pool == nullptr) {
+    for (size_t g = 0; g < groups; ++g) pack(g);
+  } else {
+    pool->ParallelFor(groups, pack);
+  }
+  // The first failing group in group order, whatever the schedule.
+  for (const Status& st : status) VF2_RETURN_IF_ERROR(st);
   if (stats != nullptr) {
     stats->hadds += local.hadds;
     stats->scalings += local.scalings;
-    stats->packs += local.packs;
+    stats->packs += groups;
   }
   return out;
 }

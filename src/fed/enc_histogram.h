@@ -68,12 +68,16 @@ EncryptedHistogram BuildEncryptedHistogram(
 /// sums* per channel — split finding consumes prefix sums anyway — aligned
 /// to the layout exponent, signed channels shifted nonnegative by one HAdd
 /// per feature, then pack `capacity` slots per cipher (§5.2, Fig. 9).
-/// HAdds, scalings and packs accumulate into *stats when given.
+/// The prefix pass is serial; the pack groups spread over `pool` when given
+/// and keep their order, so the output does not depend on the pool. On
+/// failure, the first failing group's status. HAdds, scalings and packs
+/// accumulate into *stats when given.
 Result<std::vector<PackedCipher>> PackHistogram(EncryptedHistogram hist,
                                                 const FeatureLayout& layout,
                                                 const SlotLayout& slots,
                                                 const CipherBackend& backend,
-                                                AccumulatorStats* stats);
+                                                AccumulatorStats* stats,
+                                                ThreadPool* pool = nullptr);
 
 /// B side: decrypts a PackHistogram output — one decryption per cipher,
 /// CRT halves spread over `pool` when given — and rebuilds per-bin

@@ -435,7 +435,7 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
     AccumulatorStats pack_stats;
     VF2_ASSIGN_OR_RETURN(payload.ciphers,
                          PackHistogram(std::move(hist), layout_, slot_layout_,
-                                       *backend_, &pack_stats));
+                                       *backend_, &pack_stats, pool_.get()));
     m_.packs->Add(pack_stats.packs);
     m_.hadds->Add(pack_stats.hadds);
     m_.scalings->Add(pack_stats.scalings);

@@ -63,7 +63,7 @@ struct FedConfig {
   /// nothing to do.
   bool gh_pack = false;
   /// The slot layout stays raw when fewer than this many slots fit one
-  /// cipher — packing a slot costs ~M squarings, so small keys can make it a
+  /// cipher — packing a slot costs M squarings, so small keys can make it a
   /// net loss. The paper's S=2048/M=64 yields 31 slots.
   size_t min_pack_slots = 2;
 

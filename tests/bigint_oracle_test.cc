@@ -6,11 +6,13 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bigint/bigint.h"
 #include "bigint/modarith.h"
 #include "bigint/prime.h"
 #include "common/random.h"
+#include "crypto/encoding.h"
 
 namespace vf2boost {
 namespace {
@@ -122,6 +124,50 @@ TEST(BigIntOracle, FixedBasePowMatchesGmp) {
       EXPECT_EQ(table.Pow(exp).ToDecString(), out.Str())
           << "bits=" << s << " i=" << i;
       EXPECT_EQ(table.Pow(exp), ctx->Pow(base, exp));
+    }
+  }
+}
+
+TEST(BigIntOracle, PowMatchesGmpForEveryWindowShape) {
+  // Pow picks its window from the exponent: a single set bit (the cipher
+  // shifts 16^k and 2^M) and sub-24-bit exponents run table-free, longer
+  // ones take the 4-bit window. The widest slot any layout in the suite
+  // derives is the gh slot for 2^30 rows; shifts up to twice that are
+  // covered.
+  SlotLayoutParams params;
+  params.gh = true;
+  params.packing = true;
+  params.max_count = 1u << 30;
+  auto widest = MakeSlotLayout(FixedPointCodec(16, 8, 1), params, 2048);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  ASSERT_GT(widest->slot_bits, 0u);
+
+  Rng rng(1010);
+  std::vector<BigInt> exps = {BigInt(1), BigInt(2), BigInt(16),
+                              BigInt(16 * 16), BigInt(16 * 16 * 16)};
+  for (size_t j = 0; j <= 2 * widest->slot_bits; ++j) {
+    exps.push_back(BigInt(1) << j);
+  }
+  for (size_t len = 1; len < 24; ++len) {
+    exps.push_back(BigInt::Random(len - 1, &rng) + (BigInt(1) << (len - 1)));
+    exps.push_back((BigInt(1) << len) - BigInt(1));  // all ones
+  }
+  exps.push_back(BigInt::Random(1024, &rng));
+
+  for (size_t bits : {256u, 1024u, 2048u}) {
+    BigInt m = BigInt::Random(bits - 1, &rng) + (BigInt(1) << (bits - 1));
+    if (m.IsEven()) m += BigInt(1);
+    MontgomeryContext ctx(m);
+    const BigInt bases[] = {BigInt(0), BigInt(1), m - BigInt(1),
+                            m + BigInt::RandomBelow(m, &rng)};
+    for (const BigInt& base : bases) {
+      for (const BigInt& exp : exps) {
+        Gmp gb(base), ge(exp), gm(m), out;
+        mpz_powm(out.get(), gb.get(), ge.get(), gm.get());
+        ASSERT_EQ(ctx.Pow(base, exp).ToDecString(), out.Str())
+            << "bits=" << bits << " exp=" << exp.ToDecString()
+            << " base=" << base.ToDecString();
+      }
     }
   }
 }

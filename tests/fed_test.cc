@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "gbdt/model_io.h"
@@ -558,9 +560,20 @@ TEST(FedTrainerTest, NetworkLatencyDoesNotChangeModel) {
   auto p1 = r_fast->ToJointModel(f.spec)->PredictRaw(f.valid.features);
   auto p2 = r_slow->ToJointModel(f.spec)->PredictRaw(f.valid.features);
   for (size_t i = 0; i < p1.size(); ++i) ASSERT_DOUBLE_EQ(p1[i], p2[i]);
-  // Slower network shows up as waiting time.
-  EXPECT_GT(r_slow->log.back().elapsed_seconds,
-            r_fast->log.back().elapsed_seconds);
+  // Slower network shows up as waiting time. A message is delivered no
+  // earlier than latency after it is sent, and each histogram layer of a
+  // tree is a strict B→A→B round trip: the gradients or the previous
+  // layer's decisions go out, and the layer's histograms come back before
+  // B decides. A tree of depth d runs min(d + 1, num_layers - 1) such layers.
+  size_t round_trips = 0;
+  for (const Tree& tree : r_slow->model.trees) {
+    round_trips += std::min<size_t>(tree.Depth() + 1,
+                                    slow.gbdt.num_layers - 1);
+  }
+  ASSERT_GE(round_trips, slow.gbdt.num_trees);
+  EXPECT_GE(r_slow->log.back().elapsed_seconds,
+            static_cast<double>(round_trips) * 2 *
+                slow.network.latency_seconds);
 }
 
 }  // namespace

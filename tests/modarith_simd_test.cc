@@ -62,12 +62,16 @@ TEST(ModArithSimd, PowAgreesUnderForcedKernels) {
   Rng rng(99);
   MontgomeryContext ctx(RandomOddModulus(2048, &rng));
   const BigInt base = BigInt::RandomBelow(ctx.modulus(), &rng);
-  const BigInt exp = BigInt::Random(256, &rng);
-  SetMontKernel(MontKernel::kScalar);
-  const BigInt scalar = ctx.Pow(base, exp);
-  SetMontKernel(MontKernel::kAvx2);
-  const BigInt vec = ctx.Pow(base, exp);
-  EXPECT_EQ(scalar.Compare(vec), 0);
+  // One exponent per window shape: long (4-bit window), a power of two
+  // (the squaring chain of a cipher shift) and short (binary, no table).
+  for (const BigInt& exp :
+       {BigInt::Random(256, &rng), BigInt(1) << 108, BigInt(0x4e3779)}) {
+    SetMontKernel(MontKernel::kScalar);
+    const BigInt scalar = ctx.Pow(base, exp);
+    SetMontKernel(MontKernel::kAvx2);
+    const BigInt vec = ctx.Pow(base, exp);
+    EXPECT_EQ(scalar.Compare(vec), 0) << exp.ToDecString();
+  }
 }
 
 TEST(ModArithSimd, AutoDispatchMatchesScalarEverywhere) {
