@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -481,10 +482,26 @@ BigInt BigInt::operator>>(size_t bits) const {
 }
 
 double BigInt::ToDouble() const {
-  double v = 0;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    v = v * 18446744073709551616.0 + static_cast<double>(limbs_[i]);
+  if (limbs_.empty()) return 0;
+  // One round-to-nearest-even conversion: the top 64 bits with every lower
+  // bit folded into a sticky bit 0 round to 53 bits exactly as the whole
+  // magnitude would (the rounding bit is bit 10 of `top`, and a set sticky
+  // bit only breaks a tie upward), then an exact power-of-two scaling.
+  const size_t bits = BitLength();
+  uint64_t top = limbs_.back();
+  size_t shift = 0;
+  if (bits > 64) {
+    shift = bits - 64;
+    const size_t limb = shift / 64;
+    const size_t bit = shift % 64;
+    top = limbs_[limb] >> bit;
+    if (bit != 0) top |= limbs_[limb + 1] << (64 - bit);
+    bool sticky = bit != 0 && (limbs_[limb] << (64 - bit)) != 0;
+    for (size_t i = 0; i < limb && !sticky; ++i) sticky = limbs_[i] != 0;
+    top |= sticky ? 1 : 0;
   }
+  const double v = std::ldexp(static_cast<double>(top), static_cast<int>(
+                                  std::min<size_t>(shift, 4096)));
   return negative_ ? -v : v;
 }
 

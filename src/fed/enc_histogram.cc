@@ -184,15 +184,14 @@ Result<std::vector<PackedCipher>> PackHistogram(EncryptedHistogram hist,
   return out;
 }
 
-Result<Histogram> DecryptHistogram(const std::vector<PackedCipher>& ciphers,
-                                   const FeatureLayout& layout,
-                                   const SlotLayout& slots,
-                                   const CipherBackend& backend,
-                                   size_t* decryptions, ThreadPool* pool) {
+Result<HistogramSlots> DecryptHistogramSlots(
+    const std::vector<PackedCipher>& ciphers, const FeatureLayout& layout,
+    const SlotLayout& slots, const CipherBackend& backend,
+    size_t* decryptions, ThreadPool* pool) {
   if (!backend.can_decrypt()) {
     return Status::CryptoError("backend has no private key");
   }
-  const size_t total = layout.total_bins();
+  const FixedPointCodec& codec = slots.codec;
   size_t num_slots = 0;
   std::vector<BigInt> raw;
   raw.reserve(ciphers.size());
@@ -204,27 +203,104 @@ Result<Histogram> DecryptHistogram(const std::vector<PackedCipher>& ciphers,
       return Status::ProtocolError(
           "histogram cipher geometry does not match the slot layout");
     }
+    // Sibling derivation rescales by B^(exponent difference), so the
+    // exponent must be one A's accumulation can produce.
+    if (slots.packed() ? pc.exponent != slots.exponent
+                       : (pc.exponent < codec.min_exponent() ||
+                          pc.exponent > codec.max_exponent())) {
+      return Status::ProtocolError(
+          "histogram cipher exponent outside the slot layout");
+    }
     num_slots += pc.num_slots;
     raw.push_back(pc.data);
   }
-  if (num_slots != slots.channels * total) {
+  if (num_slots != slots.channels * layout.total_bins()) {
     return Status::ProtocolError("histogram size does not match layout");
   }
   const std::vector<BigInt> plains = backend.DecryptRawBatch(raw, pool);
   if (decryptions != nullptr) *decryptions += raw.size();
 
+  HistogramSlots out;
+  out.values.reserve(num_slots);
+  out.exponents.reserve(num_slots);
+  for (size_t p = 0; p < ciphers.size(); ++p) {
+    for (BigInt& slot : UnpackPlaintext(plains[p], slots.slot_bits,
+                                        ciphers[p].num_slots)) {
+      out.values.push_back(std::move(slot));
+      out.exponents.push_back(ciphers[p].exponent);
+    }
+  }
+  return out;
+}
+
+Result<HistogramSlots> DeriveSiblingSlots(const HistogramSlots& parent,
+                                          const HistogramSlots& smaller,
+                                          const SlotLayout& slots,
+                                          const BigInt& n) {
+  const size_t size = parent.values.size();
+  if (smaller.values.size() != size || parent.exponents.size() != size ||
+      smaller.exponents.size() != size) {
+    return Status::ProtocolError("sibling histogram size does not match");
+  }
+  const bool signed_raw = !slots.gh() && !slots.packed();
+  // B^k for every exponent gap the codec range allows.
+  std::vector<BigInt> factor;
+  for (int k = 0; signed_raw && k < slots.codec.num_exponents(); ++k) {
+    factor.push_back(slots.codec.ScaleFactor(k));
+  }
+  auto align = [&](const BigInt& v, int32_t from, int32_t to) {
+    return from == to ? v : (v * factor[to - from]) % n;
+  };
+  // Signed packed slots carry the channel shift; gh slots and raw ones none.
+  BigInt shift[2];
+  if (!slots.gh() && slots.packed()) {
+    for (size_t c = 0; c < slots.channels; ++c) {
+      shift[c] = slots.codec.Encode(slots.shift[c], slots.exponent, n);
+    }
+  }
+  const size_t per_channel = size / slots.channels;
+  HistogramSlots out;
+  out.values.reserve(size);
+  out.exponents = parent.exponents;
+  for (size_t i = 0; i < size; ++i) {
+    const BigInt& p = parent.values[i];
+    const BigInt& s = smaller.values[i];
+    if (signed_raw) {
+      const int32_t e = std::max(parent.exponents[i], smaller.exponents[i]);
+      BigInt diff = align(p, parent.exponents[i], e) -
+                    align(s, smaller.exponents[i], e);
+      if (diff.IsNegative()) diff += n;
+      out.values.push_back(std::move(diff));
+      out.exponents[i] = e;
+      continue;
+    }
+    BigInt diff = p - s + shift[i / per_channel];
+    const bool in_window =
+        !diff.IsNegative() &&
+        (slots.gh() ? slots.DecodeGh(diff).ok()
+                    : diff.BitLength() <= slots.slot_bits);
+    if (!in_window) {
+      return Status::ProtocolError(
+          "smaller-child histogram exceeds its parent's");
+    }
+    out.values.push_back(std::move(diff));
+  }
+  return out;
+}
+
+Result<Histogram> DecodeHistogram(const HistogramSlots& hist_slots,
+                                  const FeatureLayout& layout,
+                                  const SlotLayout& slots, const BigInt& n) {
+  const size_t total = layout.total_bins();
+  if (hist_slots.values.size() != slots.channels * total) {
+    return Status::ProtocolError("histogram size does not match layout");
+  }
   // Slot i belongs to channel i / total and bin i % total.
   std::vector<GradPair> values(total);
-  size_t next = 0;
-  for (size_t p = 0; p < ciphers.size(); ++p) {
-    for (const BigInt& slot : UnpackPlaintext(plains[p], slots.slot_bits,
-                                              ciphers[p].num_slots)) {
-      VF2_RETURN_IF_ERROR(slots.DecodeSlot(slot, ciphers[p].exponent,
-                                           next / total,
-                                           backend.plain_modulus(),
-                                           &values[next % total]));
-      ++next;
-    }
+  for (size_t i = 0; i < hist_slots.values.size(); ++i) {
+    VF2_RETURN_IF_ERROR(slots.DecodeSlot(hist_slots.values[i],
+                                         hist_slots.exponents[i], i / total,
+                                         n, &values[i % total]));
   }
 
   Histogram hist(total);
@@ -241,6 +317,17 @@ Result<Histogram> DecryptHistogram(const std::vector<PackedCipher>& ciphers,
     }
   }
   return hist;
+}
+
+Result<Histogram> DecryptHistogram(const std::vector<PackedCipher>& ciphers,
+                                   const FeatureLayout& layout,
+                                   const SlotLayout& slots,
+                                   const CipherBackend& backend,
+                                   size_t* decryptions, ThreadPool* pool) {
+  VF2_ASSIGN_OR_RETURN(HistogramSlots hist_slots,
+                       DecryptHistogramSlots(ciphers, layout, slots, backend,
+                                             decryptions, pool));
+  return DecodeHistogram(hist_slots, layout, slots, backend.plain_modulus());
 }
 
 }  // namespace vf2boost

@@ -79,12 +79,49 @@ Result<std::vector<PackedCipher>> PackHistogram(EncryptedHistogram hist,
                                                 AccumulatorStats* stats,
                                                 ThreadPool* pool = nullptr);
 
-/// B side: decrypts a PackHistogram output — one decryption per cipher,
-/// CRT halves spread over `pool` when given — and rebuilds per-bin
-/// GradPairs, differencing prefix sums in packed layouts. The ciphers come
-/// off the wire: ProtocolError unless every one has the layout's slot width
-/// and at most its capacity of slots, and the slots number exactly
-/// channels × total_bins.
+/// B side: a decrypted histogram before decoding. SlotLayout::channels ×
+/// total_bins integer slots, channel-major like EncryptedHistogram, each at
+/// its fixed-point exponent; packed layouts hold the per-feature prefix sums
+/// as they were packed. Sibling subtraction works on these integers, so a
+/// derived histogram decodes bit-identically to one A built and sent.
+struct HistogramSlots {
+  std::vector<BigInt> values;
+  std::vector<int32_t> exponents;
+};
+
+/// B side, step 1: decrypts a PackHistogram output — one decryption per
+/// cipher, CRT halves spread over `pool` when given — and unpacks the slots.
+/// The ciphers come off the wire: ProtocolError unless every one has the
+/// layout's slot width, at most its capacity of slots and an exponent the
+/// layout can produce (the layout exponent when packed, the codec range when
+/// raw), and the slots number exactly channels × total_bins.
+Result<HistogramSlots> DecryptHistogramSlots(
+    const std::vector<PackedCipher>& ciphers, const FeatureLayout& layout,
+    const SlotLayout& slots, const CipherBackend& backend,
+    size_t* decryptions, ThreadPool* pool = nullptr);
+
+/// B side: the larger sibling's slots, parent − smaller, in the integers of
+/// the plaintext modulus `n`:
+///  - signed raw: both aligned to the larger of their two exponents (×B^k
+///    mod n), then subtracted mod n;
+///  - signed packed: both slots carry the channel shift, so the difference
+///    gets the shift's encoding at the layout exponent back;
+///  - gh: plain subtraction.
+/// Packed and gh slots come from A: ProtocolError unless every derived slot
+/// is nonnegative and inside the layout window (a smaller-child slot above
+/// its parent's would otherwise borrow into a wrong histogram).
+Result<HistogramSlots> DeriveSiblingSlots(const HistogramSlots& parent,
+                                          const HistogramSlots& smaller,
+                                          const SlotLayout& slots,
+                                          const BigInt& n);
+
+/// B side, step 2: decodes every slot through SlotLayout::DecodeSlot and
+/// rebuilds per-bin GradPairs, differencing prefix sums in packed layouts.
+Result<Histogram> DecodeHistogram(const HistogramSlots& hist_slots,
+                                  const FeatureLayout& layout,
+                                  const SlotLayout& slots, const BigInt& n);
+
+/// DecryptHistogramSlots then DecodeHistogram.
 Result<Histogram> DecryptHistogram(const std::vector<PackedCipher>& ciphers,
                                    const FeatureLayout& layout,
                                    const SlotLayout& slots,

@@ -19,6 +19,7 @@ PartyMetrics PartyMetrics::Create(obs::MetricsRegistry* registry,
   m.dirty_nodes = registry->GetCounter(prefix + "/dirty_nodes");
   m.redone_hist_builds =
       registry->GetCounter(prefix + "/redone_hist_builds");
+  m.derived_hists = registry->GetCounter(prefix + "/derived_hists");
   m.inbox_high_water =
       registry->GetGauge(prefix + "/inbox_high_water", "messages");
   m.bytes_sent = registry->GetGauge(prefix + "/bytes_sent", "bytes");
@@ -62,6 +63,7 @@ FedStats PartyMetrics::Snapshot(bool is_b) const {
   s.optimistic_splits = optimistic_splits->value();
   s.dirty_nodes = dirty_nodes->value();
   s.redone_hist_builds = redone_hist_builds->value();
+  s.derived_hists = derived_hists->value();
   s.inbox_high_water = static_cast<size_t>(inbox_high_water->value());
   s.noise_pool_hits = noise_pool_hits->value();
   s.noise_pool_misses = noise_pool_misses->value();

@@ -34,6 +34,9 @@ struct PartyMetrics {
   obs::Counter* optimistic_splits = nullptr;
   obs::Counter* dirty_nodes = nullptr;
   obs::Counter* redone_hist_builds = nullptr;
+  /// A-party histograms B derived as parent − smaller sibling instead of
+  /// receiving them (B side; one per A party and split below the leaves).
+  obs::Counter* derived_hists = nullptr;
   obs::Gauge* inbox_high_water = nullptr;
   obs::Gauge* bytes_sent = nullptr;
   obs::Counter* noise_pool_hits = nullptr;
@@ -127,13 +130,20 @@ class PhaseClock {
   PhaseClock(const PhaseClock&) = delete;
   PhaseClock& operator=(const PhaseClock&) = delete;
 
+  /// Adds an integer arg to the phase's trace span (no-op untraced).
+  void AddArg(const char* key, int64_t value) {
+    if (rec_ == nullptr) return;
+    if (!args_.empty()) args_ += ",";
+    args_ += "\"" + std::string(key) + "\":" + std::to_string(value);
+  }
+
   void Stop() {
     if (stopped_) return;
     stopped_ = true;
     hist_->Observe(watch_.ElapsedSeconds());
     if (rec_ != nullptr) {
       rec_->CompleteSpan(trace_name_, "phase", start_us_,
-                         rec_->NowMicros() - start_us_, "");
+                         rec_->NowMicros() - start_us_, std::move(args_));
     }
     if (live_ != nullptr) live_->SetPhase("");
     obs::PhaseTag* tag = obs::MutablePhaseTag();
@@ -147,6 +157,7 @@ class PhaseClock {
   obs::TraceRecorder* rec_;
   obs::LiveStatus* live_;
   int64_t start_us_ = 0;
+  std::string args_;
   Stopwatch watch_;
   bool stopped_ = false;
   const char* prev_phase_ = nullptr;

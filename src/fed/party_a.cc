@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -432,6 +433,7 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
 
   {
     PhaseClock pack_clock(m_.phase_pack, "pack", m_.live);
+    pack_clock.AddArg("layer", static_cast<int64_t>(layer));
     AccumulatorStats pack_stats;
     VF2_ASSIGN_OR_RETURN(payload.ciphers,
                          PackHistogram(std::move(hist), layout_, slot_layout_,
@@ -478,48 +480,38 @@ Status PartyAEngine::HandleSplitQueries(const Message& msg) {
 Status PartyAEngine::HandleResolvedDecisions(const Message& msg) {
   DecisionsPayload decisions;
   VF2_RETURN_IF_ERROR(DecodeDecisions(msg, &decisions));
-  std::vector<std::pair<int32_t, bool>> new_children;  // (id, is_redo)
+  std::vector<std::pair<int32_t, bool>> smaller;  // (child, is_redo)
   for (const NodeDecision& d : decisions.decisions) {
     if (d.action == NodeAction::kLeaf) continue;
     if (d.action != NodeAction::kSplitResolved) {
       return Status::ProtocolError("unresolved decision in Decisions");
-    }
-    const auto it = node_instances_.find(d.node);
-    if (it == node_instances_.end()) {
-      return Status::ProtocolError("decision for unknown node");
     }
     // A correction replaces previously created optimistic children.
     const bool redo = node_instances_.count(d.left) > 0;
     if (redo) {
       ++hist_epoch_[d.left];
       ++hist_epoch_[d.right];
-      m_.redone_hist_builds->Add(2);
     }
-    std::vector<uint32_t> left, right;
-    ApplyPlacement(it->second, d.placement, &left, &right);
-    node_instances_[d.left] = std::move(left);
-    node_instances_[d.right] = std::move(right);
-    new_children.push_back({d.left, redo});
-    new_children.push_back({d.right, redo});
+    VF2_ASSIGN_OR_RETURN(const int32_t child, SplitNode(d));
+    smaller.push_back({child, redo});
   }
-  if (ChildrenNeedHists(decisions.layer)) {
-    for (const auto& [child, redo] : new_children) {
-      // In sequential mode every child hist is a first build; in optimistic
-      // mode only corrected children reach this path (fresh children of a
-      // corrected optimistic-leaf included).
-      if (redo) {
-        // The wasted-then-redone work the optimistic protocol pays for a
-        // dirty node — wraps the ordinary build so the cost shows as one
-        // "redo_hist" block in the timeline.
-        obs::TraceSpan span("phase", "redo_hist");
-        if (span.active()) span.AddArg("node", static_cast<int64_t>(child));
-        VF2_RETURN_IF_ERROR(
-            BuildAndSendHist(decisions.tree, decisions.layer + 1, child));
-      } else {
-        VF2_RETURN_IF_ERROR(
-            BuildAndSendHist(decisions.tree, decisions.layer + 1, child));
+  if (!ChildrenNeedHists(decisions.layer)) return Status::OK();
+  for (const auto& [child, redo] : smaller) {
+    // In sequential mode every child hist is a first build; in optimistic
+    // mode only corrected children reach this path (fresh children of a
+    // corrected optimistic-leaf included). A redo is the wasted-then-redone
+    // work the optimistic protocol pays for a dirty node: its span wraps the
+    // ordinary build so the cost shows as one "redo_hist" block.
+    std::optional<obs::TraceSpan> redo_span;
+    if (redo) {
+      m_.redone_hist_builds->Add(1);
+      redo_span.emplace("phase", "redo_hist");
+      if (redo_span->active()) {
+        redo_span->AddArg("node", static_cast<int64_t>(child));
       }
     }
+    VF2_RETURN_IF_ERROR(
+        BuildAndSendHist(decisions.tree, decisions.layer + 1, child));
   }
   return Status::OK();
 }
@@ -527,30 +519,35 @@ Status PartyAEngine::HandleResolvedDecisions(const Message& msg) {
 Status PartyAEngine::HandleOptPlacements(const Message& msg) {
   DecisionsPayload placements;
   VF2_RETURN_IF_ERROR(DecodeDecisions(msg, &placements));
-  std::vector<int32_t> new_children;
+  std::vector<int32_t> smaller;
   for (const NodeDecision& d : placements.decisions) {
     if (d.action == NodeAction::kLeaf) continue;
     if (d.action != NodeAction::kSplitResolved) {
       return Status::ProtocolError("query decision in OptPlacements");
     }
-    const auto it = node_instances_.find(d.node);
-    if (it == node_instances_.end()) {
-      return Status::ProtocolError("optimistic placement for unknown node");
-    }
-    std::vector<uint32_t> left, right;
-    ApplyPlacement(it->second, d.placement, &left, &right);
-    node_instances_[d.left] = std::move(left);
-    node_instances_[d.right] = std::move(right);
-    new_children.push_back(d.left);
-    new_children.push_back(d.right);
+    VF2_ASSIGN_OR_RETURN(const int32_t child, SplitNode(d));
+    smaller.push_back(child);
   }
-  if (ChildrenNeedHists(placements.layer)) {
-    for (int32_t child : new_children) {
-      VF2_RETURN_IF_ERROR(
-          BuildAndSendHist(placements.tree, placements.layer + 1, child));
-    }
+  if (!ChildrenNeedHists(placements.layer)) return Status::OK();
+  for (int32_t child : smaller) {
+    VF2_RETURN_IF_ERROR(
+        BuildAndSendHist(placements.tree, placements.layer + 1, child));
   }
   return Status::OK();
+}
+
+Result<int32_t> PartyAEngine::SplitNode(const NodeDecision& d) {
+  const auto it = node_instances_.find(d.node);
+  if (it == node_instances_.end()) {
+    return Status::ProtocolError("decision for unknown node");
+  }
+  std::vector<uint32_t> left, right;
+  ApplyPlacement(it->second, d.placement, &left, &right);
+  const int32_t smaller =
+      SmallerChildIsLeft(left.size(), right.size()) ? d.left : d.right;
+  node_instances_[d.left] = std::move(left);
+  node_instances_[d.right] = std::move(right);
+  return smaller;
 }
 
 Status PartyAEngine::HandleVerdicts(const Message& msg) {

@@ -76,6 +76,10 @@ class PartyAEngine {
   Status HandleSplitQueries(const Message& msg);
   Status HandleResolvedDecisions(const Message& msg);
   Status HandleOptPlacements(const Message& msg);
+  /// Applies a resolved split's placement to the parent's instances and
+  /// records both children; returns the child whose histogram is built and
+  /// sent — the smaller one, B derives its sibling (SmallerChildIsLeft).
+  Result<int32_t> SplitNode(const NodeDecision& d);
   Status HandleVerdicts(const Message& msg);
 
   bool ChildrenNeedHists(uint32_t layer) const {

@@ -226,10 +226,33 @@ void PartyBEngine::EncryptAndSendGradients(uint32_t tree_id) {
 Status PartyBEngine::CollectHistograms(
     uint32_t layer, const std::vector<NodeState*>& nodes,
     std::vector<std::map<int32_t, Histogram>>* hists) {
+  const BigInt& n = backend_->plain_modulus();
+  // A sends the root and the smaller child of every split; B derives the
+  // larger child from the parent's slots it kept from the previous layer.
+  std::vector<const NodeState*> derived;
+  size_t num_sent = 0;
+  for (const NodeState* ns : nodes) {
+    if (ns->derive_parent < 0) {
+      ++num_sent;
+    } else {
+      derived.push_back(ns);
+    }
+  }
+  auto find_node = [&](int32_t id) -> const NodeState* {
+    for (const NodeState* ns : nodes) {
+      if (ns->id == id) return ns;
+    }
+    return nullptr;
+  };
+  // This layer's slots, node -> per A party: the parents of the next layer.
+  std::map<int32_t, std::vector<HistogramSlots>> layer_slots;
+  for (const NodeState* ns : nodes) {
+    layer_slots[ns->id].resize(inboxes_.size());
+  }
   hists->assign(inboxes_.size(), {});
   for (size_t p = 0; p < inboxes_.size(); ++p) {
     auto& per_party = (*hists)[p];
-    while (per_party.size() < nodes.size()) {
+    while (per_party.size() < num_sent) {
       PhaseClock wait(m_.phase_comm_wait, "comm_wait", m_.live);
       VF2_ASSIGN_OR_RETURN(
           Message msg, inboxes_[p].ReceiveType(MessageType::kNodeHistogram));
@@ -245,28 +268,63 @@ Status PartyBEngine::CollectHistograms(
       if (payload.epoch > expected) {
         return Status::ProtocolError("histogram from the future");
       }
-      bool known = false;
-      for (const NodeState* ns : nodes) known |= ns->id == payload.node;
-      if (!known) return Status::ProtocolError("histogram for unknown node");
+      const NodeState* node = find_node(payload.node);
+      if (node == nullptr) {
+        return Status::ProtocolError("histogram for unknown node");
+      }
+      if (node->derive_parent >= 0) {
+        return Status::ProtocolError(
+            "histogram for the larger child of a split, which B derives");
+      }
 
       Stopwatch dec_timer;
       obs::TraceSpan span("phase", "decrypt");
       if (span.active()) {
+        span.AddArg("layer", static_cast<int64_t>(layer));
         span.AddArg("node", static_cast<int64_t>(payload.node));
         span.AddArg("party", static_cast<int64_t>(p));
       }
       // The decrypt path bumps this on the calling thread only (the pool
       // parallelizes CRT halves, not the counter), so a stack local is safe.
       size_t num_dec = 0;
-      Result<Histogram> hist =
-          DecryptHistogram(payload.ciphers, a_layouts_[p], slot_layout_,
-                           *backend_, &num_dec, pool_.get());
-      VF2_RETURN_IF_ERROR(hist.status());
+      VF2_ASSIGN_OR_RETURN(
+          HistogramSlots slots,
+          DecryptHistogramSlots(payload.ciphers, a_layouts_[p], slot_layout_,
+                                *backend_, &num_dec, pool_.get()));
       m_.decryptions->Add(num_dec);
+      VF2_ASSIGN_OR_RETURN(
+          per_party[payload.node],
+          DecodeHistogram(slots, a_layouts_[p], slot_layout_, n));
+      layer_slots[payload.node][p] = std::move(slots);
       m_.phase_decrypt->Observe(dec_timer.ElapsedSeconds());
-      per_party[payload.node] = std::move(hist).value();
+    }
+    for (const NodeState* node : derived) {
+      obs::TraceSpan span("phase", "derive_hist");
+      if (span.active()) {
+        span.AddArg("layer", static_cast<int64_t>(layer));
+        span.AddArg("node", static_cast<int64_t>(node->id));
+        span.AddArg("party", static_cast<int64_t>(p));
+      }
+      const auto parent = a_slots_.find(node->derive_parent);
+      if (parent == a_slots_.end()) {
+        return Status::Internal("no retained slots for the parent node");
+      }
+      VF2_ASSIGN_OR_RETURN(
+          HistogramSlots slots,
+          DeriveSiblingSlots(parent->second[p],
+                             layer_slots[node->derive_sibling][p],
+                             slot_layout_, n));
+      VF2_ASSIGN_OR_RETURN(
+          per_party[node->id],
+          DecodeHistogram(slots, a_layouts_[p], slot_layout_, n));
+      layer_slots[node->id][p] = std::move(slots);
+      m_.derived_hists->Add(1);
     }
   }
+  // Only one layer is retained: this one, while its children still get
+  // histograms.
+  a_slots_.clear();
+  if (layer + 2 < config_.gbdt.num_layers) a_slots_ = std::move(layer_slots);
   return Status::OK();
 }
 
@@ -290,6 +348,7 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
   EncryptAndSendGradients(tree_id);
 
   hist_epoch_.clear();
+  a_slots_.clear();
   std::vector<NodeState> active(1);
   active[0].id = 0;
   active[0].layer = 0;
@@ -326,19 +385,21 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
       l.total = SumGrads(l.instances);
       r.total = SumGrads(r.instances);
       // Sibling subtraction: build the smaller child, derive the other from
-      // the parent histogram (only worthwhile below the leaf layer).
+      // the parent histogram (only worthwhile below the leaf layer). A sends
+      // only the smaller child's histograms too; B derives the larger's.
       if (layer + 2 < params.num_layers) {
         Stopwatch timer;
-        NodeState* small = &l;
-        NodeState* big = &r;
-        if (small->instances.size() > big->instances.size()) {
-          std::swap(small, big);
-        }
+        const bool left_smaller =
+            SmallerChildIsLeft(l.instances.size(), r.instances.size());
+        NodeState* small = left_smaller ? &l : &r;
+        NodeState* big = left_smaller ? &r : &l;
         small->own_hist =
             Histogram::Build(binned_, layout_, small->instances, grads_);
         big->own_hist = small->own_hist;
         big->own_hist.SubtractFrom(node.own_hist);
         l.has_hist = r.has_hist = true;
+        big->derive_parent = node.id;
+        big->derive_sibling = small->id;
         m_.phase_find_split->Observe(timer.ElapsedSeconds());
       }
       children.push_back(std::move(l));
@@ -656,6 +717,8 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
 
   // Remaining nodes at the last layer become leaves.
   for (NodeState& node : active) FinalizeLeaf(node, tree);
+  hist_epoch_.clear();
+  a_slots_.clear();
 
   for (Inbox& inbox : inboxes_) {
     inbox.Send(Message{MessageType::kTreeDone, {}});
@@ -782,6 +845,7 @@ Status PartyBEngine::ResyncSessions(int64_t last_completed) {
   obs::TraceSpan span("phase", "reconnect");
   live_.SetState(obs::LiveStatus::State::kReconnecting);
   hist_epoch_.clear();
+  a_slots_.clear();
   for (Inbox& inbox : inboxes_) inbox.Clear();
   for (size_t p = 0; p < inboxes_.size(); ++p) {
     Inbox& inbox = inboxes_[p];

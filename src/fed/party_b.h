@@ -7,6 +7,7 @@
 
 #include "common/threadpool.h"
 #include "data/dataset.h"
+#include "fed/enc_histogram.h"
 #include "fed/fed_metrics.h"
 #include "fed/inbox.h"
 #include "fed/protocol.h"
@@ -61,6 +62,11 @@ class PartyBEngine {
     /// sibling of every split via subtraction (paper §7).
     Histogram own_hist;
     bool has_hist = false;
+    /// Set on the larger child of a split whose children get histograms: A
+    /// sends only its sibling's, and B derives this node's A histograms as
+    /// parent − sibling. -1 for the root and the smaller child.
+    int32_t derive_parent = -1;
+    int32_t derive_sibling = -1;
   };
 
   Status Setup();
@@ -84,8 +90,11 @@ class PartyBEngine {
   void DrainFederatedMetrics();
   Status TrainOneTree(uint32_t tree_id, Tree* tree);
   void EncryptAndSendGradients(uint32_t tree_id);
-  /// Collects the expected-epoch histogram of every node in `nodes` from
-  /// every A party; hists[party][node] = decrypted plaintext histogram.
+  /// Collects the expected-epoch histogram of every sent node in `nodes`
+  /// (the root, or the smaller child of a split) from every A party, derives
+  /// the larger children from their parents' retained slots, and retains
+  /// this layer's slots while its children still get histograms;
+  /// hists[party][node] = plaintext histogram.
   Status CollectHistograms(
       uint32_t layer, const std::vector<NodeState*>& nodes,
       std::vector<std::map<int32_t, Histogram>>* hists);
@@ -116,6 +125,10 @@ class PartyBEngine {
   std::vector<double> scores_;
   std::vector<GradPair> grads_;
   std::map<int32_t, uint32_t> hist_epoch_;
+  /// The previous layer's decrypted A histograms, node -> per A party: the
+  /// parents the current layer's larger children are derived from. Dropped
+  /// with hist_epoch_ at tree end and on resync.
+  std::map<int32_t, std::vector<HistogramSlots>> a_slots_;
 
   // Live counters/timings are registry handles (see FedStats threading
   // contract in protocol.h); stats_ is derived from them after training.

@@ -24,6 +24,15 @@ void ApplyPlacement(const std::vector<uint32_t>& instances,
                     const Bitmap& placement, std::vector<uint32_t>* left,
                     std::vector<uint32_t>* right);
 
+/// Sibling subtraction (paper §7): of a split's two children, only the one
+/// with fewer instances — the left on a tie — gets a histogram built (and,
+/// from Party A, sent); the other is derived as parent − that one. Both
+/// parties pick the same child with this rule. True when it is the left.
+inline bool SmallerChildIsLeft(size_t left_instances,
+                               size_t right_instances) {
+  return left_instances <= right_instances;
+}
+
 void SerializeBitmap(const Bitmap& bitmap, ByteWriter* w);
 Status DeserializeBitmap(ByteReader* r, Bitmap* bitmap);
 

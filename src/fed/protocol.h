@@ -231,6 +231,9 @@ struct FedStats {
   size_t optimistic_splits = 0;
   size_t dirty_nodes = 0;          ///< optimistic splits rolled back
   size_t redone_hist_builds = 0;   ///< A-side node hists rebuilt after dirt
+  /// A-party histograms B derived from the parent and the smaller sibling
+  /// instead of receiving them (one per A party and split below the leaves).
+  size_t derived_hists = 0;
   size_t bytes_a_to_b = 0;
   size_t bytes_b_to_a = 0;
   /// Largest number of messages any party's Inbox ever had parked while

@@ -4,6 +4,8 @@
 #include <gmp.h>
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -220,6 +222,99 @@ TEST(BigIntOracle, ShiftAgreement) {
     EXPECT_EQ((a << s).ToDecString(), out.Str());
     mpz_fdiv_q_2exp(out.get(), ga.get(), s);
     EXPECT_EQ((a >> s).ToDecString(), out.Str());
+  }
+}
+
+
+// The nearest double to `v`, ties to even, from GMP. mpz_get_d truncates, so
+// the value is compared exactly against the midpoint of the truncated double
+// and the next one up.
+double GmpNearestDouble(const BigInt& v) {
+  Gmp gv(v), mag, twice, mid, next;
+  mpz_abs(mag.get(), gv.get());
+  const double lo = mpz_get_d(mag.get());
+  const double hi = std::nextafter(lo, INFINITY);
+  mpz_mul_2exp(twice.get(), mag.get(), 1);
+  mpz_set_d(mid.get(), lo);
+  mpz_set_d(next.get(), hi);
+  mpz_add(mid.get(), mid.get(), next.get());
+  const int cmp = mpz_cmp(twice.get(), mid.get());
+  uint64_t lo_bits;
+  std::memcpy(&lo_bits, &lo, sizeof(lo));
+  const double out =
+      cmp < 0 ? lo : cmp > 0 ? hi : ((lo_bits & 1) == 0 ? lo : hi);
+  return mpz_sgn(gv.get()) < 0 ? -out : out;
+}
+
+TEST(BigIntOracle, ToDoubleRoundsOnceToNearestEven) {
+  auto expect_nearest = [](const BigInt& v) {
+    const double want = GmpNearestDouble(v);
+    const double got = v.ToDouble();
+    uint64_t want_bits, got_bits;
+    std::memcpy(&want_bits, &want, sizeof(want));
+    std::memcpy(&got_bits, &got, sizeof(got));
+    EXPECT_EQ(got_bits, want_bits) << v.ToDecString();
+  };
+  // The double-rounding case a limb-by-limb fold gets wrong: the low limb's
+  // own rounding drops the +1 that puts the value above the halfway point.
+  const BigInt two_64 = BigInt(1) << 64;
+  const BigInt v = two_64 + (BigInt(1) << 63) + (BigInt(1) << 11) + BigInt(1);
+  EXPECT_EQ(v.ToDouble(), std::ldexp(1.0, 64) + std::ldexp(1.0, 63) +
+                              std::ldexp(1.0, 12));
+  expect_nearest(v);
+  expect_nearest(-v);
+
+  Rng rng(1017);
+  for (int i = 0; i < 2000; ++i) {
+    expect_nearest(RandomSigned(1 + i % 200, &rng));
+  }
+  // Exact ties, and one unit either side of them, at every width from the
+  // first that rounds to 200 bits: a 53-bit mantissa (odd or even) followed
+  // by a half-ulp.
+  for (size_t width = 54; width <= 200; ++width) {
+    for (int parity = 0; parity < 2; ++parity) {
+      BigInt mantissa = BigInt::Random(52, &rng) + (BigInt(1) << 52);
+      if (mantissa.TestBit(0) != (parity == 1)) mantissa += BigInt(1);
+      const size_t low = width - 53;
+      const BigInt tie = (mantissa << low) + (BigInt(1) << (low - 1));
+      expect_nearest(tie);
+      expect_nearest(tie + BigInt(1));
+      expect_nearest(tie - BigInt(1));
+      expect_nearest(-tie);
+      // A sticky bit far below the rounding bit, past the top 64 bits.
+      if (low > 12) expect_nearest(tie + (BigInt(1) << (low - 12)));
+    }
+  }
+}
+
+// Rescaling a fixed-point value by B^k and raising its exponent by k must
+// not change what it decodes to: a cipher aligned to a higher exponent
+// decodes exactly like the unaligned one.
+TEST(BigIntOracle, DecodeIsInvariantUnderExponentAlignment) {
+  Rng rng(1019);
+  BigInt n = (BigInt(1) << 1023) + BigInt::Random(1000, &rng);
+  if (!n.TestBit(0)) n += BigInt(1);
+  for (const FixedPointCodec& codec :
+       {FixedPointCodec(), FixedPointCodec(16, 6, 4), FixedPointCodec(16, 8, 1),
+        FixedPointCodec(16, 0, 8)}) {
+    size_t checked = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const BigInt v = BigInt::Random(50 + i % 15, &rng);
+      const int e = codec.min_exponent() +
+                    static_cast<int>(rng.NextBounded(
+                        static_cast<uint64_t>(codec.num_exponents())));
+      for (int k = 0; k < codec.num_exponents(); ++k) {
+        const BigInt scaled = v * codec.ScaleFactor(k);
+        ASSERT_EQ(codec.Decode(scaled, e + k, n), codec.Decode(v, e, n))
+            << v.ToDecString() << " e=" << e << " k=" << k;
+        // Negative values live at n - |V|.
+        ASSERT_EQ(codec.Decode(n - scaled, e + k, n),
+                  codec.Decode(n - v, e, n))
+            << "-" << v.ToDecString() << " e=" << e << " k=" << k;
+        ++checked;
+      }
+    }
+    EXPECT_GE(checked, 2000u);
   }
 }
 

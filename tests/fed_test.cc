@@ -6,9 +6,11 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "gbdt/histogram.h"
 #include "gbdt/model_io.h"
 #include "gbdt/trainer.h"
 #include "metrics/metrics.h"
+#include "obs/metrics_registry.h"
 
 namespace vf2boost {
 namespace {
@@ -575,6 +577,93 @@ TEST(FedTrainerTest, NetworkLatencyDoesNotChangeModel) {
             static_cast<double>(round_trips) * 2 *
                 slow.network.latency_seconds);
 }
+
+
+// The histogram ledger of sibling subtraction. Per tree and A party, A sends
+// (and B decrypts) one histogram for the root and one for the smaller child
+// of every split whose children get histograms, and B derives the larger
+// child. The optimistic protocol adds one stale build per dirty split it had
+// pre-split, which A counts as a redone build and B skips undecrypted. Every
+// count is deterministic given the seed, so each is asserted exactly.
+struct LedgerParam {
+  bool optimistic;
+  bool mock;
+};
+
+class HistogramLedgerTest : public ::testing::TestWithParam<LedgerParam> {};
+
+TEST_P(HistogramLedgerTest, OneHistogramPerSplitExactly) {
+  const LedgerParam param = GetParam();
+  Fixture f = MakeFixture(param.mock ? 1200 : 300, 16, 0.5, {0.5, 0.5}, 53);
+  FedConfig config = FedConfig::Vf2Boost();
+  config.optimistic = param.optimistic;
+  config.mock_crypto = param.mock;
+  config.paillier_bits = 256;
+  config.gbdt.num_trees = 3;
+  config.gbdt.num_layers = 5;
+  config.gbdt.max_bins = 8;
+  obs::MetricsRegistry registry;
+  config.metrics = &registry;
+  auto result = FedTrainer(config).Train(f.shards);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const FedStats& s = result->stats;
+
+  // Splits whose children get histograms: internal nodes on layers
+  // 0 .. num_layers - 3, read off the trained trees.
+  size_t hist_splits = 0;
+  for (const Tree& tree : result->model.trees) {
+    std::vector<std::pair<int32_t, uint32_t>> stack = {{0, 0}};  // id, layer
+    while (!stack.empty()) {
+      const auto [id, layer] = stack.back();
+      stack.pop_back();
+      const TreeNode& node = tree.node(id);
+      if (node.is_leaf()) continue;
+      if (layer + 2 < config.gbdt.num_layers) ++hist_splits;
+      stack.push_back({node.left, layer + 1});
+      stack.push_back({node.right, layer + 1});
+    }
+  }
+  ASSERT_GT(hist_splits, 0u);
+  const size_t accepted = config.gbdt.num_trees + hist_splits;
+
+  // Ciphers per histogram under the session's layout.
+  auto slots = config.MakeSlotLayout(f.shards[0].rows(),
+                                     param.mock ? 512 : config.paillier_bits);
+  ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+  const size_t bins = FeatureLayout::FromCuts(result->party_a_cuts[0])
+                          .total_bins();
+  const size_t per_hist =
+      slots->channels * ((bins + slots->capacity - 1) / slots->capacity);
+
+  EXPECT_EQ(s.decryptions, accepted * per_hist);
+  EXPECT_EQ(s.derived_hists, hist_splits);
+
+  // A's kNodeHistogram frames, counted on the wire: everything A sent but
+  // its layout and one placement per A-owned split (no clock probes or
+  // metric deltas run without a trace recorder or ops port).
+  const double a_messages =
+      registry.GetGauge("channel/a0/to_b/messages", "messages")->value();
+  const size_t frames = static_cast<size_t>(a_messages) - 1 - s.splits_a;
+  EXPECT_EQ(frames, accepted + s.redone_hist_builds);
+  EXPECT_EQ(registry.GetCounter("party_a0/ciphers_sent")->value(),
+            frames * per_hist);
+  if (param.optimistic) {
+    EXPECT_GT(s.redone_hist_builds, 0u) << "no dirty pre-split to redo";
+    EXPECT_LE(s.redone_hist_builds, s.dirty_nodes);
+  } else {
+    EXPECT_EQ(s.redone_hist_builds, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SequentialAndOptimistic, HistogramLedgerTest,
+    ::testing::Values(LedgerParam{false, true}, LedgerParam{true, true},
+                      LedgerParam{false, false}, LedgerParam{true, false}),
+    [](const ::testing::TestParamInfo<LedgerParam>& info) {
+      return std::string(info.param.optimistic ? "Optimistic"
+                                               : "Sequential") +
+             (info.param.mock ? "Mock" : "Paillier");
+    });
 
 }  // namespace
 }  // namespace vf2boost

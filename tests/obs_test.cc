@@ -474,9 +474,14 @@ TEST(TraceTest, TracedFedRunProducesBalancedTrace) {
   EXPECT_GT(summary.flow_starts, 0u);
   // The protocol phases all show up as spans.
   for (const char* name : {"fed_train", "tree", "encrypt", "build_hist",
-                           "decrypt", "find_split", "pack"}) {
+                           "decrypt", "find_split", "pack", "derive_hist"}) {
     EXPECT_GT(summary.span_counts[name], 0u) << "missing span " << name;
   }
+  // One derive_hist span per histogram B derived instead of receiving.
+  EXPECT_EQ(summary.span_counts["derive_hist"],
+            registry.GetCounter("party_b/derived_hists")->value());
+  EXPECT_EQ(result->stats.derived_hists,
+            registry.GetCounter("party_b/derived_hists")->value());
   // The shared registry saw the same run the trace did.
   EXPECT_EQ(registry.GetCounter("party_b/encryptions")->value(),
             result->stats.encryptions);

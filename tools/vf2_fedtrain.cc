@@ -515,8 +515,10 @@ int main(int argc, char** argv) {
               "scalings %zu packs %zu\n",
               s.bytes_a_to_b / 1e6, s.bytes_b_to_a / 1e6, s.encryptions,
               s.decryptions, s.hadds, s.scalings, s.packs);
-  std::printf("splits A %zu / B %zu, leaves %zu, dirty %zu\n", s.splits_a,
-              s.splits_b, s.leaves, s.dirty_nodes);
+  std::printf("splits A %zu / B %zu, leaves %zu, dirty %zu, derived hists "
+              "%zu\n",
+              s.splits_a, s.splits_b, s.leaves, s.dirty_nodes,
+              s.derived_hists);
 
   if (recorder != nullptr) {
     if (flags.Has("trace-out")) {

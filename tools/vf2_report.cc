@@ -235,6 +235,14 @@ int RunAttribution(const std::string& metrics_path,
     if (ratio > 0) std::printf(", %.1f values/cipher", ratio);
     std::printf("\n");
   }
+  // Sibling subtraction: A sends the smaller child of each split, B derives
+  // the larger one from the parent — histograms that never hit the wire.
+  const double derived = Lookup(m, "party_b/derived_hists");
+  if (derived > 0) {
+    std::printf("%-10s %10.0f histograms derived (parent - smaller child), "
+                "not sent\n",
+                "party_b", derived);
+  }
 
   if (!profile_path.empty()) {
     const int rc = AppendCpuAttribution(m, profile_path);
