@@ -15,7 +15,6 @@
 #include <map>
 
 #include "bench/bench_util.h"
-#include "bigint/modarith.h"
 #include "common/logging.h"
 #include "crypto/accumulator.h"
 #include "crypto/backend.h"
@@ -159,21 +158,6 @@ void BM_DecryptUnpacked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * capacity);
 }
 BENCHMARK(BM_DecryptUnpacked)->Arg(256)->Arg(512)->Arg(1024);
-
-// BM_Encrypt under the forced-scalar Montgomery kernel: the baseline the
-// AVX2 column-tiled kernel is measured against (BM_Encrypt itself runs under
-// kAuto dispatch, which vectorizes the >= 2048-bit ciphertext rings).
-void BM_EncryptScalar(benchmark::State& state) {
-  Setup& s = GetSetup(state.range(0));
-  const MontKernel saved = GetMontKernel();
-  SetMontKernel(MontKernel::kScalar);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.backend->Encrypt(s.rng.NextGaussian(), &s.rng));
-  }
-  SetMontKernel(saved);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EncryptScalar)->Arg(256)->Arg(512)->Arg(1024);
 
 SlotLayout GhLayoutFor(const PaillierBackend& backend, uint64_t max_count) {
   SlotLayoutParams params;

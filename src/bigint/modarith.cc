@@ -1,61 +1,109 @@
 #include "bigint/modarith.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <utility>
 
+#include "bigint/row_kernel.h"
 #include "common/logging.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VF2_HAVE_AVX2_KERNEL 1
-#include <immintrin.h>
-#endif
 
 namespace vf2boost {
 
 namespace {
 
 using u128 = unsigned __int128;
+using bigint_detail::AddMulRowFn;
 
-std::atomic<int> g_mont_kernel{static_cast<int>(MontKernel::kAuto)};
-
-// Below this limb count the radix-2^32 vector kernel loses to the scalar
-// u128 CIOS (vector setup + lazy-carry settlement dominates); 32 limbs is
-// the n^2 ring of a 1024-bit key, where the column-tile kernel first shows
-// a consistent win on this hardware. Smaller rings (CRT halves, short keys)
-// stay scalar under kAuto; kAvx2 forces the vector path everywhere.
-constexpr size_t kAvx2MinLimbs = 32;
-
-bool DetectAvx2() {
-#if defined(VF2_HAVE_AVX2_KERNEL)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
+// Per-thread product buffer: the 2k-limb double-length product that the
+// REDC rows then reduce in place. Reused across calls, so the steady state
+// performs no heap traffic.
+uint64_t* ProductScratch(size_t k) {
+  thread_local std::vector<uint64_t> scratch;
+  if (scratch.size() < 2 * k) scratch.resize(2 * k);
+  return scratch.data();
 }
 
-inline bool UseAvx2Kernel(size_t num_limbs) {
-  const MontKernel sel = GetMontKernel();
-  if (sel == MontKernel::kScalar || !CpuHasAvx2()) return false;
-  return sel == MontKernel::kAvx2 || num_limbs >= kAvx2MinLimbs;
+// Row-wise REDC of the 2k-limb t < m*R into out = t*R^{-1} mod m. Row i
+// picks q with t[i] + q*m[0] = 0 mod 2^64, so adding q*m at limb i zeroes
+// t[i]; that dead limb parks the row's carry, which belongs at limb i+k.
+// One pass then adds the parked carries to the high half: the sum is below
+// 2m, so one conditional subtraction leaves the canonical residue.
+template <AddMulRowFn Row>
+void Redc(uint64_t* t, const uint64_t* m, size_t k, uint64_t inv,
+          uint64_t* out) {
+  for (size_t i = 0; i < k; ++i) {
+    const uint64_t q = t[i] * inv;
+    t[i] = Row(t + i, m, k, q);
+  }
+  uint64_t* hi = t + k;
+  uint64_t carry = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const u128 cur = static_cast<u128>(hi[i]) + t[i] + carry;
+    hi[i] = static_cast<uint64_t>(cur);
+    carry = static_cast<uint64_t>(cur >> 64);
+  }
+  bool ge = carry != 0;
+  if (!ge) {
+    ge = true;
+    for (size_t i = k; i-- > 0;) {
+      if (hi[i] != m[i]) {
+        ge = hi[i] > m[i];
+        break;
+      }
+    }
+  }
+  if (!ge) {
+    std::copy(hi, hi + k, out);
+    return;
+  }
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const u128 d = static_cast<u128>(hi[i]) - m[i] - borrow;
+    out[i] = static_cast<uint64_t>(d);
+    borrow = static_cast<uint64_t>(d >> 64) & 1;
+  }
+}
+
+// t = a*b over k rows; `out` is written only by the final Redc step, after
+// the last read of a and b, so it may alias either.
+template <AddMulRowFn Row>
+void MulRedc(const uint64_t* a, const uint64_t* b, const uint64_t* m,
+             size_t k, uint64_t inv, uint64_t* out) {
+  uint64_t* t = ProductScratch(k);
+  std::fill(t, t + 2 * k, 0);
+  for (size_t i = 0; i < k; ++i) t[i + k] = Row(t + i, b, k, a[i]);
+  Redc<Row>(t, m, k, inv, out);
+}
+
+// t = a^2: row i adds a[i]*a[i+1..k) at limb 2i+1 (each off-diagonal
+// product once), then one pass doubles t and adds the diagonal a[i]^2 at
+// limb 2i.
+template <AddMulRowFn Row>
+void SqrRedc(const uint64_t* a, const uint64_t* m, size_t k, uint64_t inv,
+             uint64_t* out) {
+  uint64_t* t = ProductScratch(k);
+  std::fill(t, t + 2 * k, 0);
+  for (size_t i = 0; i + 1 < k; ++i) {
+    t[i + k] = Row(t + 2 * i + 1, a + i + 1, k - 1 - i, a[i]);
+  }
+  uint64_t shifted_out = 0;  // top bit of the previous limb
+  uint64_t carry = 0;
+  auto double_and_add = [&](uint64_t* limb, uint64_t diag) {
+    const uint64_t doubled = (*limb << 1) | shifted_out;
+    shifted_out = *limb >> 63;
+    const u128 cur = static_cast<u128>(doubled) + diag + carry;
+    *limb = static_cast<uint64_t>(cur);
+    carry = static_cast<uint64_t>(cur >> 64);
+  };
+  for (size_t i = 0; i < k; ++i) {
+    const u128 sq = static_cast<u128>(a[i]) * a[i];
+    double_and_add(t + 2 * i, static_cast<uint64_t>(sq));
+    double_and_add(t + 2 * i + 1, static_cast<uint64_t>(sq >> 64));
+  }
+  Redc<Row>(t, m, k, inv, out);
 }
 
 }  // namespace
-
-bool CpuHasAvx2() {
-  static const bool has = DetectAvx2();
-  return has;
-}
-
-void SetMontKernel(MontKernel kernel) {
-  g_mont_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
-}
-
-MontKernel GetMontKernel() {
-  return static_cast<MontKernel>(
-      g_mont_kernel.load(std::memory_order_relaxed));
-}
 
 BigInt Mod(const BigInt& a, const BigInt& m) {
   BigInt r = a % m;
@@ -158,274 +206,32 @@ MontgomeryContext::MontgomeryContext(const BigInt& m) : m_(m) {
   LoadRaw(one_mont_, one_raw_.data());
   unit_raw_.assign(k_, 0);
   unit_raw_[0] = 1;
-
-  // Operands of the column-tiled AVX2 kernel: m and -m^{-1} mod R as
-  // zero-extended 32-bit limbs with 8 zero lanes of padding on both sides
-  // (the tile loads run slightly past either end).
-  n32pad_.assign(2 * k_ + 16, 0);
-  for (size_t j = 0; j < k_; ++j) {
-    n32pad_[8 + 2 * j] = m_.limbs()[j] & 0xffffffffu;
-    n32pad_[8 + 2 * j + 1] = m_.limbs()[j] >> 32;
-  }
-  // Full-width n' = -m^{-1} mod R via Newton lifting from the 64-bit seed
-  // (precision doubles per step; one-time setup cost).
-  const BigInt pow2 = BigInt(1) << (64 * k_);
-  BigInt minv(~inv64_ + 1);  // m^{-1} mod 2^64
-  for (size_t bits = 64; bits < 64 * k_; bits *= 2) {
-    minv = Mod(minv * (BigInt(2) - m_ * minv), pow2);
-  }
-  const BigInt np = pow2 - minv;
-  np32pad_.assign(2 * k_ + 16, 0);
-  for (size_t j = 0; j < np.limbs().size(); ++j) {
-    np32pad_[8 + 2 * j] = np.limbs()[j] & 0xffffffffu;
-    np32pad_[8 + 2 * j + 1] = np.limbs()[j] >> 32;
-  }
 }
 
 void MontgomeryContext::MulReduceRaw(const uint64_t* a, const uint64_t* b,
                                      uint64_t* out) const {
-  if (UseAvx2Kernel(k_)) {
-    MulReduceRawAvx2(a, b, out);
+#if defined(VF2_HAVE_MULX_ROW)
+  if (bigint_detail::CpuHasMulxAdx()) {
+    MulRedc<bigint_detail::AddMulRowMulx>(a, b, m_.limbs().data(), k_, inv64_,
+                                          out);
     return;
   }
-  MulReduceRawScalar(a, b, out);
+#endif
+  MulRedc<bigint_detail::AddMulRowPortable>(a, b, m_.limbs().data(), k_,
+                                            inv64_, out);
 }
 
-void MontgomeryContext::MulReduceRawScalar(const uint64_t* a,
-                                           const uint64_t* b,
-                                           uint64_t* out) const {
-  // CIOS over a thread-local accumulator of k_+2 limbs. The scratch persists
-  // across calls, so steady-state cost is one fill — no heap traffic.
-  // `out` is only written after the last read of `a`/`b`, so aliasing either
-  // (squaring, in-place chains) is safe.
-  thread_local std::vector<uint64_t> scratch;
-  if (scratch.size() < k_ + 2) scratch.resize(k_ + 2);
-  uint64_t* t = scratch.data();
-  std::fill(t, t + k_ + 2, 0);
-  const uint64_t* n = m_.limbs().data();
-  for (size_t i = 0; i < k_; ++i) {
-    // t += a[i] * b
-    uint64_t carry = 0;
-    const u128 ai = a[i];
-    for (size_t j = 0; j < k_; ++j) {
-      u128 cur = ai * b[j] + t[j] + carry;
-      t[j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    u128 cur = static_cast<u128>(t[k_]) + carry;
-    t[k_] = static_cast<uint64_t>(cur);
-    t[k_ + 1] = static_cast<uint64_t>(cur >> 64);
-
-    // m = t[0] * n' mod 2^64; t = (t + m*n) / 2^64
-    const u128 mi = static_cast<uint64_t>(t[0] * inv64_);
-    cur = mi * n[0] + t[0];
-    carry = static_cast<uint64_t>(cur >> 64);
-    for (size_t j = 1; j < k_; ++j) {
-      cur = mi * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    cur = static_cast<u128>(t[k_]) + carry;
-    t[k_ - 1] = static_cast<uint64_t>(cur);
-    t[k_] = t[k_ + 1] + static_cast<uint64_t>(cur >> 64);
-    t[k_ + 1] = 0;
+void MontgomeryContext::SqrReduceRaw(const uint64_t* a, uint64_t* out) const {
+#if defined(VF2_HAVE_MULX_ROW)
+  if (bigint_detail::CpuHasMulxAdx()) {
+    SqrRedc<bigint_detail::AddMulRowMulx>(a, m_.limbs().data(), k_, inv64_,
+                                          out);
+    return;
   }
-  // Conditional subtraction: if t >= m, t -= m.
-  bool ge = t[k_] != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = k_; i-- > 0;) {
-      if (t[i] != n[i]) {
-        ge = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < k_; ++i) {
-      u128 cur = static_cast<u128>(t[i]) - n[i] - borrow;
-      out[i] = static_cast<uint64_t>(cur);
-      borrow = (cur >> 64) ? 1 : 0;
-    }
-  } else {
-    std::copy(t, t + k_, out);
-  }
+#endif
+  SqrRedc<bigint_detail::AddMulRowPortable>(a, m_.limbs().data(), k_, inv64_,
+                                            out);
 }
-
-#if defined(VF2_HAVE_AVX2_KERNEL)
-
-namespace {
-
-constexpr uint64_t kMask32 = 0xffffffffu;
-
-// Column-tiled radix-2^32 schoolbook product: adds u*v into the lazy column
-// accumulator S, i.e. S[c] += low32 and S[c+1] += high32 of every partial
-// product u32[i]*v32[c-i], for output columns [0, out_cols).
-//
-// `u32` holds ulen zero-extended 32-bit limbs read scalar (one broadcast per
-// row); `v32pad` holds vlen limbs with 8 zero lanes of padding on BOTH sides
-// so boundary tiles can load past either end and pick up exact zeros. Tiles
-// are 8 columns wide: four in-register accumulators (lo lanes = columns
-// c0..c0+7, hi lanes = columns c0+1..c0+8) absorb at most vlen+7 < 2^9
-// values below 2^32 per tile, so they cannot overflow, and S is touched only
-// four times per tile — the kernel is multiply-throughput-bound, not
-// memory-bound, and amortizes one broadcast over 8 partial products.
-__attribute__((target("avx2"))) void TiledMulAvx2(
-    const uint64_t* u32, size_t ulen, const uint64_t* v32pad, size_t vlen,
-    uint64_t* S, size_t out_cols) {
-  const __m256i mask = _mm256_set1_epi64x(0xffffffffLL);
-  for (size_t c0 = 0; c0 < out_cols; c0 += 8) {
-    __m256i lo0 = _mm256_setzero_si256();
-    __m256i hi0 = _mm256_setzero_si256();
-    __m256i lo1 = _mm256_setzero_si256();
-    __m256i hi1 = _mm256_setzero_si256();
-    const size_t ilo = c0 + 1 > vlen ? c0 + 1 - vlen : 0;
-    const size_t ihi = std::min(ulen - 1, c0 + 7);
-    for (size_t i = ilo; i <= ihi; ++i) {
-      const __m256i uv = _mm256_set1_epi64x(static_cast<long long>(u32[i]));
-      const uint64_t* vp = v32pad + 8 + static_cast<ptrdiff_t>(c0) -
-                           static_cast<ptrdiff_t>(i);
-      const __m256i p0 = _mm256_mul_epu32(
-          uv, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vp)));
-      const __m256i p1 = _mm256_mul_epu32(
-          uv, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vp + 4)));
-      lo0 = _mm256_add_epi64(lo0, _mm256_and_si256(p0, mask));
-      hi0 = _mm256_add_epi64(hi0, _mm256_srli_epi64(p0, 32));
-      lo1 = _mm256_add_epi64(lo1, _mm256_and_si256(p1, mask));
-      hi1 = _mm256_add_epi64(hi1, _mm256_srli_epi64(p1, 32));
-    }
-    __m256i* sp = reinterpret_cast<__m256i*>(S + c0);
-    _mm256_storeu_si256(sp, _mm256_add_epi64(_mm256_loadu_si256(sp), lo0));
-    __m256i* sp4 = reinterpret_cast<__m256i*>(S + c0 + 4);
-    _mm256_storeu_si256(sp4, _mm256_add_epi64(_mm256_loadu_si256(sp4), lo1));
-    __m256i* sp1 = reinterpret_cast<__m256i*>(S + c0 + 1);
-    _mm256_storeu_si256(sp1, _mm256_add_epi64(_mm256_loadu_si256(sp1), hi0));
-    __m256i* sp5 = reinterpret_cast<__m256i*>(S + c0 + 5);
-    _mm256_storeu_si256(sp5, _mm256_add_epi64(_mm256_loadu_si256(sp5), hi1));
-  }
-}
-
-// Settles an even number of lazy 32-bit columns into cols/2 64-bit limbs;
-// returns the carry flowing past the last column.
-uint64_t SettleColumns(const uint64_t* S, size_t cols, uint64_t* out) {
-  uint64_t carry = 0;
-  for (size_t i = 0; 2 * i < cols; ++i) {
-    const uint64_t v0 = S[2 * i] + carry;
-    const uint64_t v1 = S[2 * i + 1] + (v0 >> 32);
-    out[i] = (v0 & kMask32) | (v1 << 32);
-    carry = v1 >> 32;
-  }
-  return carry;
-}
-
-}  // namespace
-
-__attribute__((target("avx2")))
-void MontgomeryContext::MulReduceRawAvx2(const uint64_t* a, const uint64_t* b,
-                                         uint64_t* out) const {
-  // Separated Montgomery multiply in radix 2^32: P = a*b, m = P*n' mod R,
-  // t = (P + m*n) / R — 2.5 k^2 limb products versus CIOS's 2 k^2, but every
-  // product runs through the register-resident column-tile kernel, which is
-  // what makes the trade profitable. All three phases use TiledMulAvx2; the
-  // only scalar work is O(k) column settlement between phases.
-  const size_t k = k_;
-  const size_t cols = 2 * k;
-  thread_local std::vector<uint64_t> arena;
-  const size_t need =
-      (4 * k + 8) + (cols + 8) + 2 * (cols + 16) + 2 * (cols + 1) + 2 * cols;
-  if (arena.size() < need) arena.resize(need);
-  uint64_t* SP = arena.data();             // lazy columns of P, then of m*n
-  uint64_t* bpad = SP + 4 * k + 8;         // b, padded both sides
-  uint64_t* SB = bpad + cols + 16;         // lazy columns of P*n' mod R
-  uint64_t* m32pad = SB + cols + 8;        // m, padded both sides
-  uint64_t* p64 = m32pad + cols + 16;      // P as 64-bit limbs
-  uint64_t* m64 = p64 + cols + 1;          // m*n as 64-bit limbs
-  uint64_t* a32 = m64 + cols + 1;          // a as 32-bit limbs (broadcasts)
-  uint64_t* pl32 = a32 + cols;             // P mod R as 32-bit limbs
-
-  for (size_t j = 0; j < k; ++j) {
-    a32[2 * j] = a[j] & kMask32;
-    a32[2 * j + 1] = a[j] >> 32;
-    bpad[8 + 2 * j] = b[j] & kMask32;
-    bpad[8 + 2 * j + 1] = b[j] >> 32;
-  }
-  std::fill(bpad, bpad + 8, 0);
-  std::fill(bpad + 8 + cols, bpad + cols + 16, 0);
-
-  // Phase 1: P = a*b.
-  std::fill(SP, SP + 4 * k + 8, 0);
-  TiledMulAvx2(a32, cols, bpad, cols, SP, 2 * cols);
-  uint64_t top = SettleColumns(SP, 2 * cols, p64);
-  VF2_DCHECK(top == 0);
-  for (size_t j = 0; j < k; ++j) {
-    pl32[2 * j] = p64[j] & kMask32;
-    pl32[2 * j + 1] = p64[j] >> 32;
-  }
-
-  // Phase 2: m = (P mod R) * n' mod R — a low-half product.
-  std::fill(SB, SB + cols + 8, 0);
-  TiledMulAvx2(pl32, cols, np32pad_.data(), cols, SB, cols);
-  std::fill(m32pad, m32pad + 8, 0);
-  std::fill(m32pad + 8 + cols, m32pad + cols + 16, 0);
-  uint64_t carry = 0;
-  for (size_t c = 0; c < cols; ++c) {
-    const uint64_t v = SB[c] + carry;
-    m32pad[8 + c] = v & kMask32;
-    carry = v >> 32;
-  }
-
-  // Phase 3: m*n, then t = (P + m*n) / R. The low R half of the sum is zero
-  // by construction of m; its carry chain still has to be walked.
-  std::fill(SP, SP + 4 * k + 8, 0);
-  TiledMulAvx2(m32pad + 8, cols, n32pad_.data(), cols, SP, 2 * cols);
-  top = SettleColumns(SP, 2 * cols, m64);
-  VF2_DCHECK(top == 0);
-
-  uint64_t* tres = a32;  // a32/pl32 are dead past this point; reuse for t
-  u128 cur = 0;
-  for (size_t i = 0; i < k; ++i) {
-    cur = static_cast<u128>(p64[i]) + m64[i] + static_cast<uint64_t>(cur >> 64);
-    VF2_DCHECK(static_cast<uint64_t>(cur) == 0);
-  }
-  for (size_t i = 0; i < k; ++i) {
-    cur = static_cast<u128>(p64[k + i]) + m64[k + i] +
-          static_cast<uint64_t>(cur >> 64);
-    tres[i] = static_cast<uint64_t>(cur);
-  }
-
-  // Conditional subtraction: if t >= m, t -= m.
-  const uint64_t* n = m_.limbs().data();
-  bool ge = (cur >> 64) != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = k; i-- > 0;) {
-      if (tres[i] != n[i]) {
-        ge = tres[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < k; ++i) {
-      const u128 d = static_cast<u128>(tres[i]) - n[i] - borrow;
-      out[i] = static_cast<uint64_t>(d);
-      borrow = (d >> 64) ? 1 : 0;
-    }
-  } else {
-    std::copy(tres, tres + k, out);
-  }
-}
-
-#else  // !VF2_HAVE_AVX2_KERNEL
-
-void MontgomeryContext::MulReduceRawAvx2(const uint64_t* a, const uint64_t* b,
-                                         uint64_t* out) const {
-  MulReduceRawScalar(a, b, out);
-}
-
-#endif  // VF2_HAVE_AVX2_KERNEL
 
 void MontgomeryContext::LoadRaw(const BigInt& a, uint64_t* out) const {
   const std::vector<uint64_t>& limbs = a.limbs();
@@ -461,6 +267,26 @@ BigInt MontgomeryContext::MontMul(const BigInt& a, const BigInt& b) const {
   LoadRaw(b, bv);
   std::vector<uint64_t> out(k_);
   MulReduceRaw(av, bv, out.data());
+  return BigInt::FromLimbs(std::move(out));
+}
+
+BigInt MontgomeryContext::MulMod(const BigInt& a, const BigInt& b) const {
+  thread_local std::vector<uint64_t> pads;
+  if (pads.size() < 2 * k_) pads.resize(2 * k_);
+  uint64_t* av = pads.data();
+  uint64_t* bv = av + k_;
+  auto load = [&](const BigInt& v, uint64_t* out) {
+    if (v.IsNegative() || v.Compare(m_) >= 0) {
+      LoadRaw(Mod(v, m_), out);
+    } else {
+      LoadRaw(v, out);
+    }
+  };
+  load(a, av);
+  load(b, bv);
+  MulReduceRaw(av, bv, av);  // a*b*R^{-1}
+  std::vector<uint64_t> out(k_);
+  MulReduceRaw(av, r2_raw_.data(), out.data());  // * R^2 * R^{-1}
   return BigInt::FromLimbs(std::move(out));
 }
 
@@ -513,7 +339,7 @@ BigInt MontgomeryContext::Pow(const BigInt& base, const BigInt& exp) const {
   const size_t top = digit(windows - 1);
   std::copy(table + top * k_, table + (top + 1) * k_, acc);
   for (size_t w = windows - 1; w-- > 0;) {
-    for (size_t s = 0; s < window; ++s) MulReduceRaw(acc, acc, acc);
+    for (size_t s = 0; s < window; ++s) SqrReduceRaw(acc, acc);
     const size_t idx = digit(w);
     if (idx) MulReduceRaw(acc, table + idx * k_, acc);
   }
@@ -545,7 +371,7 @@ FixedBasePowTable::FixedBasePowTable(
       ctx_->MulReduceRaw(first + (d - 2) * k_, g.data(), first + (d - 1) * k_);
     }
     for (size_t s = 0; s < window_bits_; ++s) {
-      ctx_->MulReduceRaw(g.data(), g.data(), g.data());
+      ctx_->SqrReduceRaw(g.data(), g.data());
     }
   }
 }

@@ -12,24 +12,6 @@ namespace vf2boost {
 
 class MontgomeryContext;
 
-/// \brief Runtime-selectable Montgomery multiply kernel.
-///
-/// kAuto (the default) picks the AVX2 product-scanning kernel when the CPU
-/// supports it (cpuid, cached) and the modulus is wide enough to amortize
-/// the vector setup; otherwise the scalar CIOS kernel runs. Benches and
-/// tests force a specific kernel for A/B comparison. The selection is a
-/// pure performance choice — both kernels produce identical limbs.
-enum class MontKernel { kAuto, kScalar, kAvx2 };
-
-/// Sets the process-wide kernel selection. Safe to call between
-/// computations; not intended to race with in-flight multiplies.
-void SetMontKernel(MontKernel kernel);
-MontKernel GetMontKernel();
-
-/// True when the running CPU supports the AVX2 kernel (always false on
-/// non-x86 builds, where kAvx2 silently falls back to scalar).
-bool CpuHasAvx2();
-
 /// Canonical residue of a mod m, in [0, m). m must be positive.
 BigInt Mod(const BigInt& a, const BigInt& m);
 
@@ -63,8 +45,10 @@ BigInt Lcm(const BigInt& a, const BigInt& b);
 ///
 /// Paillier encryption/decryption performs thousands of exponentiations
 /// against the same modulus (n or n^2), so the per-modulus setup (R^2 mod m,
-/// -m^{-1} mod 2^64) is hoisted here. MulReduce implements the CIOS variant
-/// of Montgomery multiplication on raw 64-bit limbs.
+/// -m^{-1} mod 2^64) is hoisted here. Products are operand-scanning: k rows
+/// of one row primitive (bigint/row_kernel.h, mulx/adx where the CPU has it)
+/// form the double-length product, k more rows reduce it (REDC), and one
+/// conditional subtraction leaves the canonical residue.
 ///
 /// The raw-limb API (`*Raw` methods) is the allocation-free hot path: every
 /// operand is a plain k-limb little-endian array and the only per-call
@@ -89,16 +73,26 @@ class MontgomeryContext {
 
   /// base^exp mod m (inputs/outputs in the ordinary domain).
   /// Window 1 (no table) for a power-of-two or sub-24-bit exponent, so a
-  /// shift by 2^j costs j squarings between the two domain conversions;
-  /// a 4-bit window otherwise.
+  /// shift by 2^j costs j SqrReduceRaw calls between the two domain
+  /// conversions; a 4-bit window otherwise.
   BigInt Pow(const BigInt& base, const BigInt& exp) const;
+
+  /// a*b mod m for residues in the ordinary domain, as two reductions:
+  /// (a*b*R^{-1}) * R^2 * R^{-1}. No division; operands at or above m take
+  /// a reducing slow path first.
+  BigInt MulMod(const BigInt& a, const BigInt& b) const;
 
   // --- raw-limb hot-path kernels (allocation-free) --------------------------
 
-  /// Raw k-limb CIOS kernel: out = a*b*R^{-1} mod m. All pointers reference
-  /// k-limb little-endian arrays; `out` may alias `a` and/or `b`.
-  /// Dispatches to the AVX2 or scalar implementation per SetMontKernel.
+  /// Raw k-limb Montgomery product: out = a*b*R^{-1} mod m. All pointers
+  /// reference k-limb little-endian arrays of residues below m; `out` may
+  /// alias `a` and/or `b`.
   void MulReduceRaw(const uint64_t* a, const uint64_t* b, uint64_t* out) const;
+
+  /// Raw k-limb Montgomery square: out = a*a*R^{-1} mod m, from the
+  /// k(k-1)/2 off-diagonal limb products doubled plus the k diagonal ones.
+  /// `out` may alias `a`.
+  void SqrReduceRaw(const uint64_t* a, uint64_t* out) const;
 
   /// Loads a residue (must already be in [0, m)) into a zero-padded k-limb
   /// array.
@@ -115,13 +109,6 @@ class MontgomeryContext {
   const uint64_t* r2_raw() const { return r2_raw_.data(); }
 
  private:
-  void MulReduceRawScalar(const uint64_t* a, const uint64_t* b,
-                          uint64_t* out) const;
-  /// Radix-2^32 product-scanning kernel with lazy column accumulators;
-  /// forwards to the scalar kernel on builds without AVX2 support.
-  void MulReduceRawAvx2(const uint64_t* a, const uint64_t* b,
-                        uint64_t* out) const;
-
   BigInt m_;
   size_t k_ = 0;        // limb count of m_
   uint64_t inv64_ = 0;  // -m^{-1} mod 2^64
@@ -130,10 +117,6 @@ class MontgomeryContext {
   std::vector<uint64_t> r2_raw_;    // k-limb copy of r2_
   std::vector<uint64_t> one_raw_;   // k-limb copy of one_mont_
   std::vector<uint64_t> unit_raw_;  // k-limb literal 1 (for FromMont)
-  // m_ and -m^{-1} mod R as zero-extended 32-bit limbs, 8 zero lanes of
-  // padding on both sides (operands of the column-tiled AVX2 kernel).
-  std::vector<uint64_t> n32pad_;
-  std::vector<uint64_t> np32pad_;
 };
 
 /// \brief Precomputed fixed-base windowed exponentiation (Lim-Lee style).

@@ -98,6 +98,9 @@ Status CipherBackend::DeserializeCipher(ByteReader* r, Cipher* c) const {
   std::vector<uint64_t> limbs;
   VF2_RETURN_IF_ERROR(r->GetU64Vector(&limbs));
   c->data = BigInt::FromLimbs(std::move(limbs));
+  if (c->data.Compare(cipher_modulus()) >= 0) {
+    return Status::Corruption("cipher outside the cipher modulus");
+  }
   return Status::OK();
 }
 

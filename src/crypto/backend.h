@@ -38,6 +38,9 @@ class CipherBackend {
   const FixedPointCodec& codec() const { return codec_; }
   /// The plaintext modulus n (a surrogate modulus for the mock backend).
   virtual const BigInt& plain_modulus() const = 0;
+  /// Every valid cipher is below this modulus: n^2 for Paillier, the
+  /// plaintext modulus itself for the mock backend.
+  virtual const BigInt& cipher_modulus() const = 0;
   virtual bool is_mock() const = 0;
   /// True when this backend holds the private key (Party B only).
   virtual bool can_decrypt() const = 0;
@@ -91,6 +94,8 @@ class CipherBackend {
 
   // --- wire format -----------------------------------------------------------
   void SerializeCipher(const Cipher& c, ByteWriter* w) const;
+  /// Corruption unless the value is below cipher_modulus(), so no peer can
+  /// hand the homomorphic operations an operand outside the ring.
   Status DeserializeCipher(ByteReader* r, Cipher* c) const;
 
  protected:
@@ -116,6 +121,7 @@ class PaillierBackend : public CipherBackend {
 
   const PaillierPublicKey& public_key() const { return pub_; }
   const BigInt& plain_modulus() const override { return pub_.n(); }
+  const BigInt& cipher_modulus() const override { return pub_.n_squared(); }
   bool is_mock() const override { return false; }
   bool can_decrypt() const override { return priv_.has_value(); }
   size_t CipherBytes() const override { return pub_.CipherBytes(); }
@@ -151,6 +157,7 @@ class MockBackend : public CipherBackend {
       : CipherBackend(codec), n_(BigInt(1) << kMockModulusBits) {}
 
   const BigInt& plain_modulus() const override { return n_; }
+  const BigInt& cipher_modulus() const override { return n_; }
   bool is_mock() const override { return true; }
   bool can_decrypt() const override { return true; }
   /// Wire size of a plaintext residue (16 bytes covers the value range the

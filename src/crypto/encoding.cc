@@ -30,6 +30,32 @@ BigInt BigIntFromLongDouble(long double x) {
   return out;
 }
 
+// Splits a gh plaintext [count | g | h] into its integer fields and applies
+// the window checks CheckGh and DecodeGh share.
+Status SplitGh(const SlotLayout& layout, const BigInt& plain, uint64_t* count,
+               BigInt* g, BigInt* h) {
+  if (layout.value_bits == 0 || layout.offset == 0) {
+    return Status::InvalidArgument("gh-pack layout is uninitialized");
+  }
+  if (plain.BitLength() > layout.gh_bits()) {
+    return Status::Corruption("gh plaintext exceeds the layout width");
+  }
+  const size_t s = layout.value_bits;
+  const BigInt hi = plain >> s;  // [count | g]
+  *h = plain - (hi << s);
+  const BigInt count_big = hi >> s;
+  *g = hi - (count_big << s);
+  if (count_big > BigInt(layout.max_count)) {
+    return Status::Corruption("gh count slot exceeds the accumulation bound");
+  }
+  *count = count_big.ToU64();
+  const BigInt slot_cap = BigInt(*count) * BigInt(2 * layout.offset);
+  if (*g > slot_cap || *h > slot_cap) {
+    return Status::Corruption("gh value slot outside the offset window");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 BigInt FixedPointCodec::Encode(double v, int exponent, const BigInt& n) const {
@@ -171,36 +197,24 @@ BigInt SlotLayout::EncodeGh(double g, double h) const {
          (BigInt(g_slot) << value_bits) + BigInt(h_slot);
 }
 
+Status SlotLayout::CheckGh(const BigInt& plain) const {
+  uint64_t count = 0;
+  BigInt g, h;
+  return SplitGh(*this, plain, &count, &g, &h);
+}
+
 Result<GhSlots> SlotLayout::DecodeGh(const BigInt& plain) const {
-  if (value_bits == 0 || offset == 0) {
-    return Status::InvalidArgument("gh-pack layout is uninitialized");
-  }
-  if (plain.BitLength() > gh_bits()) {
-    return Status::Corruption("gh plaintext exceeds the layout width");
-  }
-  const size_t s = value_bits;
-  const BigInt hi = plain >> s;  // [count | g]
-  const BigInt h_slot = plain - (hi << s);
-  const BigInt count_big = hi >> s;
-  const BigInt g_slot = hi - (count_big << s);
-  if (count_big > BigInt(max_count)) {
-    return Status::Corruption("gh count slot exceeds the accumulation bound");
-  }
   GhSlots out;
-  out.count = count_big.ToU64();
+  BigInt g_slot, h_slot;
+  VF2_RETURN_IF_ERROR(SplitGh(*this, plain, &out.count, &g_slot, &h_slot));
   const double scale = std::pow(static_cast<double>(codec.base()), exponent);
   const BigInt base = BigInt(out.count) * BigInt(offset);
-  const BigInt slot_cap = BigInt(out.count) * BigInt(2 * offset);
-  auto decode = [&](const BigInt& slot, double* value) -> Status {
-    if (slot > slot_cap) {
-      return Status::Corruption("gh value slot outside the offset window");
-    }
-    *value = slot >= base ? (slot - base).ToDouble() / scale
-                          : -((base - slot).ToDouble() / scale);
-    return Status::OK();
+  auto decode = [&](const BigInt& slot) {
+    return slot >= base ? (slot - base).ToDouble() / scale
+                        : -((base - slot).ToDouble() / scale);
   };
-  VF2_RETURN_IF_ERROR(decode(g_slot, &out.g));
-  VF2_RETURN_IF_ERROR(decode(h_slot, &out.h));
+  out.g = decode(g_slot);
+  out.h = decode(h_slot);
   return out;
 }
 

@@ -141,6 +141,10 @@ struct SlotLayout {
   /// high bits, count above max_count, or a value slot outside the offset
   /// window) — never a silently wrong value.
   Result<GhSlots> DecodeGh(const BigInt& plain) const;
+  /// gh: DecodeGh's window checks alone, on the integer fields (layout
+  /// width, count <= max_count, each value slot <= count·2·offset), with
+  /// no conversion to double.
+  Status CheckGh(const BigInt& plain) const;
   /// How one decrypted slot becomes statistics. `slot` is channel
   /// `channel`'s value at `slot_exponent`: a whole plaintext in raw layouts,
   /// one unpacked slot in packed ones. Signed layouts decode it with the

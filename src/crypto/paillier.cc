@@ -53,9 +53,8 @@ BigInt PaillierPublicKey::MakeNonce(Rng* rng) const {
 BigInt PaillierPublicKey::EncryptWithNonce(const BigInt& m,
                                            const BigInt& nonce) const {
   VF2_DCHECK(!m.IsNegative() && m.Compare(n_) < 0);
-  // c = (1 + m*n) * nonce mod n^2, with g = n+1.
-  const BigInt gm = Mod(BigInt(1) + m * n_, n2_);
-  return Mod(gm * nonce, n2_);
+  // c = (1 + m*n) * nonce mod n^2, with g = n+1; 1 + m*n < n^2 for m < n.
+  return mont_n2_->MulMod(BigInt(1) + m * n_, nonce);
 }
 
 BigInt PaillierPublicKey::Encrypt(const BigInt& m, Rng* rng) const {
@@ -77,7 +76,7 @@ BigInt PaillierPublicKey::EncryptUnobfuscated(const BigInt& m) const {
 }
 
 BigInt PaillierPublicKey::HAdd(const BigInt& c1, const BigInt& c2) const {
-  return Mod(c1 * c2, n2_);
+  return mont_n2_->MulMod(c1, c2);
 }
 
 BigInt PaillierPublicKey::SMul(const BigInt& k, const BigInt& c) const {
@@ -90,7 +89,7 @@ BigInt PaillierPublicKey::Rerandomize(const BigInt& c, Rng* rng) const {
 
 BigInt PaillierPublicKey::RerandomizeWithNonce(const BigInt& c,
                                                const BigInt& nonce) const {
-  return Mod(c * nonce, n2_);
+  return mont_n2_->MulMod(c, nonce);
 }
 
 void PaillierPublicKey::Serialize(ByteWriter* w) const {

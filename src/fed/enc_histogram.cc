@@ -277,7 +277,7 @@ Result<HistogramSlots> DeriveSiblingSlots(const HistogramSlots& parent,
     BigInt diff = p - s + shift[i / per_channel];
     const bool in_window =
         !diff.IsNegative() &&
-        (slots.gh() ? slots.DecodeGh(diff).ok()
+        (slots.gh() ? slots.CheckGh(diff).ok()
                     : diff.BitLength() <= slots.slot_bits);
     if (!in_window) {
       return Status::ProtocolError(

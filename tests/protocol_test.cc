@@ -4,7 +4,13 @@
 #include "fed/protocol.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
+
+#include "data/synthetic.h"
+#include "fed/channel.h"
 #include "fed/fed_trainer.h"
+#include "fed/party_a.h"
 
 namespace vf2boost {
 namespace {
@@ -34,6 +40,19 @@ TEST_F(PayloadRoundTripTest, GradBatch) {
   for (size_t i = 0; i < 20; ++i) {
     EXPECT_EQ(out.ciphers[i].data, payload.ciphers[i].data);
     EXPECT_EQ(out.ciphers[i].exponent, payload.ciphers[i].exponent);
+  }
+}
+
+TEST_F(PayloadRoundTripTest, GradBatchRejectsCiphersOutsideTheModulus) {
+  const BigInt& n = backend_.cipher_modulus();
+  for (const BigInt& hostile : {n, n + BigInt(1), n << 64}) {
+    GradBatchPayload payload;
+    payload.ciphers.push_back(backend_.Encrypt(0.25, &rng_));
+    payload.ciphers.push_back({hostile, 0});
+    GradBatchPayload out;
+    const Status st =
+        DecodeGradBatch(EncodeGradBatch(payload, backend_), backend_, &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
   }
 }
 
@@ -343,6 +362,53 @@ TEST(FedConfigTest, FingerprintIgnoresObservabilityKnobs) {
   FedConfig other = base;
   other.gbdt.num_trees += 1;
   EXPECT_NE(other.Fingerprint(), fp);
+}
+
+// A scripted Party B that hands a real Party A gradient ciphers outside
+// Z_{n^2}: equal to n^2, n^2 + 1, and one limb wider than n^2. HAdd loads
+// its operands into k-limb Montgomery buffers, so the wire decoder has to
+// refuse them first: A must fail with a status (and, under the ASan job,
+// without touching memory past a buffer).
+TEST(HostileCipherTest, PartyARefusesGradientCiphersOutsideTheRing) {
+  SyntheticSpec spec;
+  spec.rows = 40;
+  spec.cols = 4;
+  spec.seed = 16;
+  const Dataset data = GenerateSynthetic(spec);
+  FedConfig config;
+  config.paillier_bits = 256;
+  config.gbdt.num_trees = 1;
+  config.gbdt.num_layers = 3;
+  config.network.default_deadline_seconds = 30;
+  Rng rng(16);
+  auto keys = PaillierKeyPair::Generate(config.paillier_bits, &rng);
+  ASSERT_TRUE(keys.ok());
+  const PaillierBackend backend(keys->pub, config.MakeCodec());
+  const BigInt& n2 = backend.cipher_modulus();
+  const std::vector<uint64_t> wide(n2.limbs().size() + 1, ~uint64_t{0});
+  for (const BigInt& hostile :
+       {n2, n2 + BigInt(1), BigInt::FromLimbs(wide)}) {
+    auto [a_end, b_end] = ChannelEndpoint::CreatePair(config.network);
+    Status a_status;
+    std::thread party_a([&, a = a_end.get()] {
+      PartyAEngine engine(config, data, a, 0);
+      a_status = engine.Run();
+      if (!a_status.ok()) a->Close(a_status);
+    });
+    ByteWriter key;
+    keys->pub.Serialize(&key);
+    b_end->Send({MessageType::kPublicKey, key.Release()});
+    auto layout = b_end->Receive();
+    ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+    ASSERT_EQ(layout->type, MessageType::kLayout);
+    GradBatchPayload batch;
+    batch.ciphers.assign(2 * data.rows(),
+                         {hostile, config.MakeCodec().min_exponent()});
+    b_end->Send(EncodeGradBatch(batch, backend));
+    party_a.join();
+    EXPECT_EQ(a_status.code(), StatusCode::kCorruption)
+        << hostile.BitLength() << " bits: " << a_status.ToString();
+  }
 }
 
 }  // namespace
