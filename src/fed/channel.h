@@ -216,9 +216,9 @@ class ChannelEndpoint : public MessagePort {
   /// Non-blocking variant. OK + *got=true: *out holds the next message.
   /// OK + *got=false: nothing deliverable yet. Error: the channel is closed
   /// (same statuses as Receive). Handy for polling loops and tests; the
-  /// training engines themselves use blocking Receive — Party A learns of
-  /// aborted optimistic work through the ordered kVerdicts/kDecisions stream
-  /// (hist_epoch_ corrections), not by polling.
+  /// training engines themselves use blocking Receive — Party A learns
+  /// which optimistic work to drop from the ordered kVerdicts/kDecisions
+  /// stream, not by polling.
   Status TryReceive(Message* out, bool* got) override;
 
   /// Closes the whole duplex channel: wakes every blocked receiver on BOTH

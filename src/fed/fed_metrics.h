@@ -95,8 +95,11 @@ struct PartyMetrics {
 
 /// \brief Times one protocol phase: observes `hist` with the elapsed
 /// seconds and emits a "phase" trace span covering exactly the same region.
-/// Stop() ends the phase early (e.g. right after a blocking receive, before
-/// unrelated work in the same scope); the destructor stops implicitly.
+/// With a LiveStatus the span carries the engine's current tree layer as
+/// arg `layer`, so every phase — comm_wait included — is attributable per
+/// layer. Stop() ends the phase early (e.g. right after a blocking receive,
+/// before unrelated work in the same scope); the destructor stops
+/// implicitly.
 class PhaseClock {
  public:
   /// `live`, when given, mirrors the phase name into the engine's LiveStatus
@@ -118,6 +121,7 @@ class PhaseClock {
     tag->phase = trace_name;
     if (live_ != nullptr) tag->tree = static_cast<int32_t>(live_->tree());
     if (live_ != nullptr) {
+      AddArg("layer", live_->layer());
       live_->SetPhase(trace_name);
       // Engine phases (live != nullptr) also land in the black box, so a
       // post-mortem dump names the phase the party died in.

@@ -14,10 +14,11 @@ namespace vf2boost {
 
 /// \brief Type-selective receiver over one channel endpoint.
 ///
-/// Under the optimistic protocol Party A pipelines ahead, so Party B can
-/// have next-layer histograms in flight while it is still waiting for this
-/// layer's placement replies. Inbox lets the engine pull "the next message
-/// of type T", buffering everything else in arrival order.
+/// The engines wait for one message type at a time, while a peer may
+/// already have sent a message of another type (a next-layer histogram
+/// racing a placement reply, a relaunched peer's replay). Inbox lets the
+/// engine pull "the next message of type T", buffering everything else in
+/// arrival order.
 ///
 /// A failing or over-chatty peer would otherwise grow that buffer without
 /// bound, so the buffer is capped: exceeding `max_buffered` pending messages

@@ -79,8 +79,9 @@ inline bool IsHeartbeatFrame(MessageType type) {
 /// whose type, trace context OR payload was corrupted in flight always fails
 /// the checksum. v2 added the trace-id word: a per-process monotone id that
 /// lets the send-side flow event of a frame match its receive-side event by
-/// id across merged multi-process trace files.
-inline constexpr uint8_t kWireVersion = 2;
+/// id across merged multi-process trace files. v3 dropped the epoch word
+/// from kNodeHistogram (no stale histogram is ever sent).
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameOverheadBytes = 18;
 
 /// Upper bound on a frame's payload. The header's length field is attacker-

@@ -273,7 +273,7 @@ Status PartyAEngine::Recover(const Status& cause) {
   grad_ciphers_.clear();
   root_builder_.reset();
   node_instances_.clear();
-  hist_epoch_.clear();
+  held_hists_.clear();
   live_.SetState(obs::LiveStatus::State::kReconnecting);
   obs::TraceSpan span("phase", "reconnect");
   VF2_ASSIGN_OR_RETURN(HelloPayload peer,
@@ -384,8 +384,8 @@ Status PartyAEngine::ReceiveGradients(Message first, uint32_t* tree_id) {
   return Status::OK();
 }
 
-Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
-                                      int32_t node) {
+EncryptedHistogram PartyAEngine::BuildHist(uint32_t tree, uint32_t layer,
+                                           int32_t node) {
   const auto it = node_instances_.find(node);
   VF2_CHECK(it != node_instances_.end()) << "no instances for node " << node;
 
@@ -395,18 +395,16 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
   EncryptedHistogram hist;
   // The root histogram may already be fully accumulated from the streamed
   // gradient batches; only trust it when it covers exactly this node's
-  // instances and the node was never rebuilt (epoch 0).
+  // instances (the root is never rebuilt within a tree).
   const bool use_streamed = node == 0 && layer == 0 &&
                             root_builder_ != nullptr &&
-                            root_builder_->rows_added() == it->second.size() &&
-                            hist_epoch_[node] == 0;
+                            root_builder_->rows_added() == it->second.size();
   {
     obs::TraceSpan span("phase", "build_hist");
     if (span.active()) {
       span.AddArg("tree", static_cast<int64_t>(tree));
       span.AddArg("layer", static_cast<int64_t>(layer));
       span.AddArg("node", static_cast<int64_t>(node));
-      span.AddArg("epoch", static_cast<int64_t>(hist_epoch_[node]));
       span.AddArg("instances", static_cast<int64_t>(it->second.size()));
     }
     hist = use_streamed
@@ -424,16 +422,18 @@ Status PartyAEngine::BuildAndSendHist(uint32_t tree, uint32_t layer,
   m_.phase_build_hist->Observe(timer.ElapsedSeconds() +
                                (use_streamed ? root_build_seconds_ : 0));
   if (use_streamed) root_build_seconds_ = 0;
+  return hist;
+}
 
+Status PartyAEngine::PackAndSendHist(uint32_t tree, uint32_t layer,
+                                     int32_t node, EncryptedHistogram hist) {
+  live_.SetLayer(layer);
   NodeHistogramPayload payload;
   payload.tree = tree;
   payload.layer = layer;
   payload.node = node;
-  payload.epoch = hist_epoch_[node];
-
   {
     PhaseClock pack_clock(m_.phase_pack, "pack", m_.live);
-    pack_clock.AddArg("layer", static_cast<int64_t>(layer));
     AccumulatorStats pack_stats;
     VF2_ASSIGN_OR_RETURN(payload.ciphers,
                          PackHistogram(std::move(hist), layout_, slot_layout_,
@@ -488,10 +488,6 @@ Status PartyAEngine::HandleResolvedDecisions(const Message& msg) {
     }
     // A correction replaces previously created optimistic children.
     const bool redo = node_instances_.count(d.left) > 0;
-    if (redo) {
-      ++hist_epoch_[d.left];
-      ++hist_epoch_[d.right];
-    }
     VF2_ASSIGN_OR_RETURN(const int32_t child, SplitNode(d));
     smaller.push_back({child, redo});
   }
@@ -510,8 +506,10 @@ Status PartyAEngine::HandleResolvedDecisions(const Message& msg) {
         redo_span->AddArg("node", static_cast<int64_t>(child));
       }
     }
-    VF2_RETURN_IF_ERROR(
-        BuildAndSendHist(decisions.tree, decisions.layer + 1, child));
+    const uint32_t layer = decisions.layer + 1;
+    VF2_RETURN_IF_ERROR(PackAndSendHist(decisions.tree, layer, child,
+                                        BuildHist(decisions.tree, layer,
+                                                  child)));
   }
   return Status::OK();
 }
@@ -519,19 +517,22 @@ Status PartyAEngine::HandleResolvedDecisions(const Message& msg) {
 Status PartyAEngine::HandleOptPlacements(const Message& msg) {
   DecisionsPayload placements;
   VF2_RETURN_IF_ERROR(DecodeDecisions(msg, &placements));
-  std::vector<int32_t> smaller;
+  std::vector<std::pair<int32_t, int32_t>> smaller;  // (parent, child)
   for (const NodeDecision& d : placements.decisions) {
     if (d.action == NodeAction::kLeaf) continue;
     if (d.action != NodeAction::kSplitResolved) {
       return Status::ProtocolError("query decision in OptPlacements");
     }
     VF2_ASSIGN_OR_RETURN(const int32_t child, SplitNode(d));
-    smaller.push_back(child);
+    smaller.push_back({d.node, child});
   }
   if (!ChildrenNeedHists(placements.layer)) return Status::OK();
-  for (int32_t child : smaller) {
-    VF2_RETURN_IF_ERROR(
-        BuildAndSendHist(placements.tree, placements.layer + 1, child));
+  // Accumulate now, overlapping B's decryption of this layer, but pack only
+  // on the verdict: a dirty parent's child is dropped before any pack work,
+  // and what A sends depends on the verdicts alone, never on timing.
+  const uint32_t layer = placements.layer + 1;
+  for (const auto& [parent, child] : smaller) {
+    held_hists_[parent] = {child, BuildHist(placements.tree, layer, child)};
   }
   return Status::OK();
 }
@@ -540,6 +541,12 @@ Result<int32_t> PartyAEngine::SplitNode(const NodeDecision& d) {
   const auto it = node_instances_.find(d.node);
   if (it == node_instances_.end()) {
     return Status::ProtocolError("decision for unknown node");
+  }
+  if (d.placement.size() != it->second.size()) {
+    return Status::ProtocolError("placement size mismatch");
+  }
+  if (d.left == d.right || d.left == d.node || d.right == d.node) {
+    return Status::ProtocolError("split children must be two new nodes");
   }
   std::vector<uint32_t> left, right;
   ApplyPlacement(it->second, d.placement, &left, &right);
@@ -553,6 +560,8 @@ Result<int32_t> PartyAEngine::SplitNode(const NodeDecision& d) {
 Status PartyAEngine::HandleVerdicts(const Message& msg) {
   VerdictsPayload verdicts;
   VF2_RETURN_IF_ERROR(DecodeVerdicts(msg, &verdicts));
+  // Placements first: B's correction of a dirty node waits on them, and B
+  // receives them ahead of any histogram sent below.
   for (const NodeVerdict& v : verdicts.verdicts) {
     if (!v.use_a || v.owner != party_index_) continue;
     const auto it = node_instances_.find(v.node);
@@ -575,6 +584,16 @@ Status PartyAEngine::HandleVerdicts(const Message& msg) {
     }
     inbox_.Send(EncodePlacement(reply));
   }
+  for (const NodeVerdict& v : verdicts.verdicts) {
+    const auto it = held_hists_.find(v.node);
+    if (it == held_hists_.end()) continue;
+    HeldHist held = std::move(it->second);
+    held_hists_.erase(it);
+    // Dirty: B's correction rebuilds the child from the owner's placement.
+    if (v.use_a) continue;
+    VF2_RETURN_IF_ERROR(PackAndSendHist(verdicts.tree, verdicts.layer + 1,
+                                        held.child, std::move(held.hist)));
+  }
   return Status::OK();
 }
 
@@ -585,13 +604,14 @@ Status PartyAEngine::RunTree(Message first_grad_msg) {
   live_.SetTree(static_cast<int64_t>(tree_id));
 
   node_instances_.clear();
-  hist_epoch_.clear();
+  held_hists_.clear();
   std::vector<uint32_t> all(data_.rows());
   std::iota(all.begin(), all.end(), 0);
   node_instances_[0] = std::move(all);
 
   if (config_.gbdt.num_layers >= 2) {
-    VF2_RETURN_IF_ERROR(BuildAndSendHist(tree_id, /*layer=*/0, /*node=*/0));
+    VF2_RETURN_IF_ERROR(PackAndSendHist(tree_id, /*layer=*/0, /*node=*/0,
+                                        BuildHist(tree_id, 0, 0)));
   }
 
   for (;;) {

@@ -21,8 +21,10 @@ namespace vf2boost {
 ///
 /// Consumes encrypted gradients, builds encrypted histograms (BuildHistA),
 /// answers split queries with placement bitmaps, and — under the optimistic
-/// protocol — pipelines one layer ahead of validation, rebuilding the
-/// histograms of children invalidated by dirty-node corrections.
+/// protocol — accumulates the histograms of B's pre-split children one layer
+/// ahead of validation, packing and sending each only once B's verdict
+/// confirms its parent, and rebuilding the children of dirty nodes from the
+/// corrections.
 ///
 /// Run() executes the whole training conversation and returns when Party B
 /// signals kTrainDone. Thread-compatible: one engine per thread.
@@ -72,14 +74,23 @@ class PartyAEngine {
   void SendClockPings(int count);
   Status RunTree(Message first_grad_msg);
   Status ReceiveGradients(Message first, uint32_t* tree_id);
-  Status BuildAndSendHist(uint32_t tree, uint32_t layer, int32_t node);
+  /// Accumulates `node`'s encrypted histogram (the streamed root when it
+  /// covers the node) without packing it.
+  EncryptedHistogram BuildHist(uint32_t tree, uint32_t layer, int32_t node);
+  /// Packs `hist` into the slot layout and sends it as `node`'s histogram.
+  Status PackAndSendHist(uint32_t tree, uint32_t layer, int32_t node,
+                         EncryptedHistogram hist);
   Status HandleSplitQueries(const Message& msg);
   Status HandleResolvedDecisions(const Message& msg);
   Status HandleOptPlacements(const Message& msg);
   /// Applies a resolved split's placement to the parent's instances and
   /// records both children; returns the child whose histogram is built and
   /// sent — the smaller one, B derives its sibling (SmallerChildIsLeft).
+  /// ProtocolError when the bitmap does not cover the parent's instances or
+  /// the children are not two ids distinct from the parent.
   Result<int32_t> SplitNode(const NodeDecision& d);
+  /// Sends a placement for every dirty node this party owns, then packs and
+  /// sends the held child of every confirmed pre-split and drops the rest.
   Status HandleVerdicts(const Message& msg);
 
   bool ChildrenNeedHists(uint32_t layer) const {
@@ -113,7 +124,14 @@ class PartyAEngine {
   std::unique_ptr<IncrementalHistogramBuilder> root_builder_;
   double root_build_seconds_ = 0;
   std::unordered_map<int32_t, std::vector<uint32_t>> node_instances_;
-  std::unordered_map<int32_t, uint32_t> hist_epoch_;
+  /// The smaller child of one of B's optimistic pre-splits, accumulated when
+  /// kOptPlacements arrives and packed only on a confirming verdict.
+  struct HeldHist {
+    int32_t child = 0;
+    EncryptedHistogram hist;
+  };
+  /// Speculative child histograms awaiting the verdict, keyed by parent.
+  std::unordered_map<int32_t, HeldHist> held_hists_;
   uint32_t current_tree_ = 0;
   /// Last tree this party fully processed (kTreeDone seen); the tree
   /// boundary advertised in session hellos and written to checkpoints.

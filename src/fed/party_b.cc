@@ -224,7 +224,7 @@ void PartyBEngine::EncryptAndSendGradients(uint32_t tree_id) {
 }
 
 Status PartyBEngine::CollectHistograms(
-    uint32_t layer, const std::vector<NodeState*>& nodes,
+    uint32_t tree, uint32_t layer, const std::vector<NodeState*>& nodes,
     std::vector<std::map<int32_t, Histogram>>* hists) {
   const BigInt& n = backend_->plain_modulus();
   // A sends the root and the smaller child of every split; B derives the
@@ -260,13 +260,14 @@ Status PartyBEngine::CollectHistograms(
       NodeHistogramPayload payload;
       VF2_RETURN_IF_ERROR(
           DecodeNodeHistogram(msg, slot_layout_, *backend_, &payload));
-      if (payload.layer != layer) {
-        return Status::ProtocolError("histogram for wrong layer");
+      if (payload.tree != tree || payload.layer != layer) {
+        return Status::ProtocolError("histogram for wrong tree or layer");
       }
-      const uint32_t expected = hist_epoch_[payload.node];
-      if (payload.epoch < expected) continue;  // stale optimistic build
-      if (payload.epoch > expected) {
-        return Status::ProtocolError("histogram from the future");
+      // A sends each node's histogram once: a repeat would overwrite the
+      // first and leave this loop waiting for a frame that never comes.
+      if (per_party.count(payload.node) > 0) {
+        return Status::ProtocolError("duplicate histogram for node " +
+                                     std::to_string(payload.node));
       }
       const NodeState* node = find_node(payload.node);
       if (node == nullptr) {
@@ -347,7 +348,6 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
   loss_->Compute(scores_, data_.labels, &grads_);
   EncryptAndSendGradients(tree_id);
 
-  hist_epoch_.clear();
   a_slots_.clear();
   std::vector<NodeState> active(1);
   active[0].id = 0;
@@ -468,7 +468,8 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
       std::vector<NodeState*> node_ptrs;
       for (NodeState& n : active) node_ptrs.push_back(&n);
       std::vector<std::map<int32_t, Histogram>> hists;
-      VF2_RETURN_IF_ERROR(CollectHistograms(layer, node_ptrs, &hists));
+      VF2_RETURN_IF_ERROR(
+          CollectHistograms(tree_id, layer, node_ptrs, &hists));
 
       VerdictsPayload verdicts;
       verdicts.tree = tree_id;
@@ -506,8 +507,6 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
               v.left = tree->node(node.id).left;
               v.right = tree->node(node.id).right;
               erase_children_of(v.left, v.right);
-              ++hist_epoch_[v.left];
-              ++hist_epoch_[v.right];
             } else {
               v.left = tree->AddNode();
               v.right = tree->AddNode();
@@ -589,7 +588,8 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
       std::vector<NodeState*> node_ptrs;
       for (NodeState& n : active) node_ptrs.push_back(&n);
       std::vector<std::map<int32_t, Histogram>> hists;
-      VF2_RETURN_IF_ERROR(CollectHistograms(layer, node_ptrs, &hists));
+      VF2_RETURN_IF_ERROR(
+          CollectHistograms(tree_id, layer, node_ptrs, &hists));
 
       DecisionsPayload resolved;
       resolved.tree = tree_id;
@@ -717,7 +717,6 @@ Status PartyBEngine::TrainOneTree(uint32_t tree_id, Tree* tree) {
 
   // Remaining nodes at the last layer become leaves.
   for (NodeState& node : active) FinalizeLeaf(node, tree);
-  hist_epoch_.clear();
   a_slots_.clear();
 
   for (Inbox& inbox : inboxes_) {
@@ -844,7 +843,6 @@ Status PartyBEngine::MaybeWriteCheckpoint(const PartyBResult& result) {
 Status PartyBEngine::ResyncSessions(int64_t last_completed) {
   obs::TraceSpan span("phase", "reconnect");
   live_.SetState(obs::LiveStatus::State::kReconnecting);
-  hist_epoch_.clear();
   a_slots_.clear();
   for (Inbox& inbox : inboxes_) inbox.Clear();
   for (size_t p = 0; p < inboxes_.size(); ++p) {

@@ -90,13 +90,14 @@ class PartyBEngine {
   void DrainFederatedMetrics();
   Status TrainOneTree(uint32_t tree_id, Tree* tree);
   void EncryptAndSendGradients(uint32_t tree_id);
-  /// Collects the expected-epoch histogram of every sent node in `nodes`
-  /// (the root, or the smaller child of a split) from every A party, derives
+  /// Collects tree `tree`'s histogram of every sent node in `nodes` (the
+  /// root, or the smaller child of a split) from every A party — exactly
+  /// one each; a repeated or misaddressed frame is a ProtocolError — derives
   /// the larger children from their parents' retained slots, and retains
   /// this layer's slots while its children still get histograms;
   /// hists[party][node] = plaintext histogram.
   Status CollectHistograms(
-      uint32_t layer, const std::vector<NodeState*>& nodes,
+      uint32_t tree, uint32_t layer, const std::vector<NodeState*>& nodes,
       std::vector<std::map<int32_t, Histogram>>* hists);
   void FinalizeLeaf(const NodeState& node, Tree* tree);
   GradPair SumGrads(const std::vector<uint32_t>& instances) const;
@@ -124,10 +125,9 @@ class PartyBEngine {
 
   std::vector<double> scores_;
   std::vector<GradPair> grads_;
-  std::map<int32_t, uint32_t> hist_epoch_;
   /// The previous layer's decrypted A histograms, node -> per A party: the
   /// parents the current layer's larger children are derived from. Dropped
-  /// with hist_epoch_ at tree end and on resync.
+  /// at tree end and on resync.
   std::map<int32_t, std::vector<HistogramSlots>> a_slots_;
 
   // Live counters/timings are registry handles (see FedStats threading

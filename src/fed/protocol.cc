@@ -179,7 +179,6 @@ Message EncodeNodeHistogram(const NodeHistogramPayload& p,
   w.PutU32(p.tree);
   w.PutU32(p.layer);
   w.PutI32(p.node);
-  w.PutU32(p.epoch);
   w.PutU64(p.ciphers.size());
   for (const PackedCipher& pc : p.ciphers) {
     if (layout.packed()) {
@@ -197,7 +196,6 @@ Status DecodeNodeHistogram(const Message& m, const SlotLayout& layout,
   VF2_RETURN_IF_ERROR(r.GetU32(&p->tree));
   VF2_RETURN_IF_ERROR(r.GetU32(&p->layer));
   VF2_RETURN_IF_ERROR(r.GetI32(&p->node));
-  VF2_RETURN_IF_ERROR(r.GetU32(&p->epoch));
   uint64_t n = 0;
   VF2_RETURN_IF_ERROR(r.GetU64(&n));
   // Every serialized cipher needs at least an exponent + limb count; a

@@ -285,7 +285,6 @@ struct NodeHistogramPayload {
   uint32_t tree = 0;
   uint32_t layer = 0;
   int32_t node = 0;
-  uint32_t epoch = 0;
   std::vector<PackedCipher> ciphers;
 };
 Message EncodeNodeHistogram(const NodeHistogramPayload& p,

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -476,6 +477,27 @@ TEST(TraceTest, TracedFedRunProducesBalancedTrace) {
   for (const char* name : {"fed_train", "tree", "encrypt", "build_hist",
                            "decrypt", "find_split", "pack", "derive_hist"}) {
     EXPECT_GT(summary.span_counts[name], 0u) << "missing span " << name;
+  }
+  // Every timed phase names the tree layer it ran in, comm_wait included.
+  obs::JsonValue root;
+  ASSERT_TRUE(obs::ParseJson(rec.ToJson(), &root, &error)) << error;
+  std::map<std::string, size_t> layered;
+  for (const obs::JsonValue& ev : root.Get("traceEvents")->array) {
+    const obs::JsonValue* name = ev.Get("name");
+    const obs::JsonValue* ph = ev.Get("ph");
+    if (name == nullptr || ph == nullptr || ph->string != "X") continue;
+    if (name->string != "comm_wait" && name->string != "pack" &&
+        name->string != "find_split") {
+      continue;
+    }
+    const obs::JsonValue* args = ev.Get("args");
+    const obs::JsonValue* layer = args ? args->Get("layer") : nullptr;
+    ASSERT_TRUE(layer != nullptr && layer->is_number())
+        << name->string << " span without a layer";
+    ++layered[name->string];
+  }
+  for (const char* name : {"comm_wait", "pack", "find_split"}) {
+    EXPECT_GT(layered[name], 0u) << "no " << name << " span";
   }
   // One derive_hist span per histogram B derived instead of receiving.
   EXPECT_EQ(summary.span_counts["derive_hist"],

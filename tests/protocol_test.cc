@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
+#include "data/partition.h"
 #include "data/synthetic.h"
 #include "fed/channel.h"
 #include "fed/fed_trainer.h"
 #include "fed/party_a.h"
+#include "fed/party_b.h"
+#include "fed/placement.h"
 
 namespace vf2boost {
 namespace {
@@ -62,7 +66,6 @@ TEST_F(PayloadRoundTripTest, NodeHistogramRaw) {
   payload.tree = 1;
   payload.layer = 3;
   payload.node = 12;
-  payload.epoch = 1;
   for (int i = 0; i < 6; ++i) {
     const Cipher c = backend_.Encrypt(i * 1.0, &rng_);
     payload.ciphers.push_back({c.data, c.exponent, 0, 1});
@@ -70,8 +73,9 @@ TEST_F(PayloadRoundTripTest, NodeHistogramRaw) {
   Message msg = EncodeNodeHistogram(payload, raw, backend_);
   NodeHistogramPayload out;
   ASSERT_TRUE(DecodeNodeHistogram(msg, raw, backend_, &out).ok());
+  EXPECT_EQ(out.tree, 1u);
+  EXPECT_EQ(out.layer, 3u);
   EXPECT_EQ(out.node, 12);
-  EXPECT_EQ(out.epoch, 1u);
   ASSERT_EQ(out.ciphers.size(), 6u);
   EXPECT_EQ(out.ciphers[3].num_slots, 1u);
   EXPECT_NEAR(
@@ -409,6 +413,274 @@ TEST(HostileCipherTest, PartyARefusesGradientCiphersOutsideTheRing) {
     EXPECT_EQ(a_status.code(), StatusCode::kCorruption)
         << hostile.BitLength() << " bits: " << a_status.ToString();
   }
+}
+
+// A scripted Party B driving one tree of a real Party A under mock crypto,
+// the HostileCipherTest harness without a key: the handshake, every row's
+// gradients in one batch, then A's root histogram. Each test scripts the
+// first layer's messages and reads back every frame A sends until it exits.
+class ScriptedPartyBTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 40;
+
+  void SetUp() override {
+    SyntheticSpec spec;
+    spec.rows = kRows;
+    spec.cols = 4;
+    spec.seed = 17;
+    data_ = GenerateSynthetic(spec);
+    config_ = FedConfig::Vf2Boost();
+    config_.mock_crypto = true;
+    config_.gbdt.num_trees = 1;
+    config_.gbdt.num_layers = 3;  // layer 0's children get histograms
+    config_.gbdt.max_bins = 8;
+    config_.network.default_deadline_seconds = 30;
+    auto [a_end, b_end] = ChannelEndpoint::CreatePair(config_.network);
+    a_end_ = std::move(a_end);
+    b_end_ = std::move(b_end);
+    party_a_ = std::thread([this] {
+      PartyAEngine engine(config_, data_, a_end_.get(), 0);
+      a_status_ = engine.Run();
+    });
+    b_end_->Send({MessageType::kPublicKey, {}});
+    auto layout = b_end_->Receive();
+    ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+    ASSERT_EQ(layout->type, MessageType::kLayout);
+    const MockBackend backend(config_.MakeCodec());
+    auto slots = config_.MakeSlotLayout(kRows,
+                                        backend.plain_modulus().BitLength());
+    ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+    GradBatchPayload batch;
+    batch.ciphers.resize(kRows * slots->channels);
+    Rng rng(17);
+    for (size_t i = 0; i < kRows; ++i) {
+      slots->Encrypt({0.5 - (i % 3) * 0.25, 0.25}, backend, &rng,
+                     &batch.ciphers[i * slots->channels]);
+    }
+    b_end_->Send(EncodeGradBatch(batch, backend));
+    auto root = b_end_->Receive();
+    ASSERT_TRUE(root.ok()) << root.status().ToString();
+    ASSERT_EQ(root->type, MessageType::kNodeHistogram);
+  }
+
+  void TearDown() override {
+    b_end_->Close(Status::Aborted("test over"));
+    if (party_a_.joinable()) party_a_.join();
+  }
+
+  /// B's optimistic pre-split of the root: the first `left_rows` rows go left
+  /// to node 1, the rest right to node 2.
+  static NodeDecision PreSplit(size_t left_rows) {
+    NodeDecision d;
+    d.node = 0;
+    d.action = NodeAction::kSplitResolved;
+    d.left = 1;
+    d.right = 2;
+    d.placement = Bitmap(kRows);
+    for (size_t i = 0; i < left_rows; ++i) d.placement.Set(i);
+    return d;
+  }
+
+  static Message Layer0(MessageType type, std::vector<NodeDecision> ds) {
+    DecisionsPayload p;
+    p.decisions = std::move(ds);
+    return EncodeDecisions(p, type);
+  }
+
+  static Message Verdict(const NodeVerdict& v) {
+    VerdictsPayload p;
+    p.verdicts = {v};
+    return EncodeVerdicts(p);
+  }
+
+  /// Ends the tree and the training, then returns every frame A sent until
+  /// its engine exited and closed the channel.
+  std::vector<Message> FinishAndDrain() {
+    b_end_->Send({MessageType::kTreeDone, {}});
+    b_end_->Send({MessageType::kTrainDone, {}});
+    std::vector<Message> frames;
+    for (;;) {
+      auto m = b_end_->Receive();
+      if (!m.ok()) break;
+      frames.push_back(std::move(m).value());
+    }
+    party_a_.join();
+    return frames;
+  }
+
+  static NodeHistogramPayload HistHeader(const Message& m) {
+    NodeHistogramPayload p;
+    ByteReader r(m.payload);
+    EXPECT_TRUE(r.GetU32(&p.tree).ok());
+    EXPECT_TRUE(r.GetU32(&p.layer).ok());
+    EXPECT_TRUE(r.GetI32(&p.node).ok());
+    return p;
+  }
+
+  Dataset data_;
+  FedConfig config_;
+  std::unique_ptr<ChannelEndpoint> a_end_, b_end_;
+  std::thread party_a_;
+  Status a_status_;
+};
+
+TEST_F(ScriptedPartyBTest, ConfirmedPreSplitSendsTheSmallerChildOnly) {
+  b_end_->Send(Layer0(MessageType::kOptPlacements, {PreSplit(30)}));
+  NodeVerdict confirm;
+  confirm.node = 0;
+  b_end_->Send(Verdict(confirm));
+  const std::vector<Message> frames = FinishAndDrain();
+  ASSERT_TRUE(a_status_.ok()) << a_status_.ToString();
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].type, MessageType::kNodeHistogram);
+  const NodeHistogramPayload h = HistHeader(frames[0]);
+  EXPECT_EQ(h.layer, 1u);
+  EXPECT_EQ(h.node, 2);  // 10 rows right against 30 left
+}
+
+TEST_F(ScriptedPartyBTest, DirtyPreSplitSendsThePlacementAndNoStaleChild) {
+  b_end_->Send(Layer0(MessageType::kOptPlacements, {PreSplit(30)}));
+  NodeVerdict dirty;
+  dirty.node = 0;
+  dirty.use_a = true;
+  dirty.owner = 0;
+  dirty.feature = 0;
+  dirty.bin = 0;
+  dirty.left = 1;
+  dirty.right = 2;
+  b_end_->Send(Verdict(dirty));
+  // A answers the verdict with its placement first.
+  auto reply = b_end_->Receive();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, MessageType::kPlacement);
+  PlacementPayload placement;
+  ASSERT_TRUE(DecodePlacement(*reply, &placement).ok());
+  ASSERT_EQ(placement.node, 0);
+  ASSERT_EQ(placement.placement.size(), kRows);
+
+  NodeDecision correction = PreSplit(0);
+  correction.placement = placement.placement;
+  b_end_->Send(Layer0(MessageType::kDecisions, {correction}));
+  const std::vector<Message> frames = FinishAndDrain();
+  ASSERT_TRUE(a_status_.ok()) << a_status_.ToString();
+  // Exactly one histogram, the corrected split's smaller child: the child
+  // A accumulated for the pre-split was never packed or sent.
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].type, MessageType::kNodeHistogram);
+  const size_t left = placement.placement.Count();
+  EXPECT_EQ(HistHeader(frames[0]).node,
+            SmallerChildIsLeft(left, kRows - left) ? 1 : 2);
+}
+
+// A bad decision from B is a status on A, never a crash.
+TEST_F(ScriptedPartyBTest, PartyARefusesAPlacementOneBitShort) {
+  NodeDecision d = PreSplit(20);
+  d.placement = Bitmap(kRows - 1);
+  b_end_->Send(Layer0(MessageType::kOptPlacements, {d}));
+  party_a_.join();
+  EXPECT_EQ(a_status_.code(), StatusCode::kProtocolError)
+      << a_status_.ToString();
+}
+
+TEST_F(ScriptedPartyBTest, PartyARefusesChildrenThatAreNotTwoNewNodes) {
+  NodeDecision d = PreSplit(20);
+  d.right = d.left;
+  b_end_->Send(Layer0(MessageType::kDecisions, {d}));
+  party_a_.join();
+  EXPECT_EQ(a_status_.code(), StatusCode::kProtocolError)
+      << a_status_.ToString();
+}
+
+// Forwards a real Party A's traffic, sending the first histogram frame that
+// `pick` selects twice.
+class RepeatingPort : public MessagePort {
+ public:
+  RepeatingPort(MessagePort* inner,
+                std::function<bool(const NodeHistogramPayload&)> pick)
+      : inner_(inner), pick_(std::move(pick)) {}
+
+  void Send(Message msg) override {
+    if (!repeated_ && msg.type == MessageType::kNodeHistogram) {
+      NodeHistogramPayload h;
+      ByteReader r(msg.payload);
+      if (r.GetU32(&h.tree).ok() && r.GetU32(&h.layer).ok() &&
+          r.GetI32(&h.node).ok() && pick_(h)) {
+        repeated_ = true;
+        inner_->Send(msg);
+      }
+    }
+    inner_->Send(std::move(msg));
+  }
+  Result<Message> Receive() override { return inner_->Receive(); }
+  Status TryReceive(Message* out, bool* got) override {
+    return inner_->TryReceive(out, got);
+  }
+  void Close(Status status) override { inner_->Close(std::move(status)); }
+  bool closed() const override { return inner_->closed(); }
+  ChannelStats sent_stats() const override { return inner_->sent_stats(); }
+
+ private:
+  MessagePort* inner_;
+  std::function<bool(const NodeHistogramPayload&)> pick_;
+  bool repeated_ = false;
+};
+
+// A real Party B against a Party A that repeats one histogram frame: B
+// must fail with a ProtocolError naming `want`, not hang, decrypt twice or
+// train on the repeat.
+void ExpectPartyBRefusesRepeat(
+    FedConfig config, std::function<bool(const NodeHistogramPayload&)> pick,
+    const std::string& want) {
+  SyntheticSpec spec;
+  spec.rows = 400;
+  spec.cols = 12;
+  spec.density = 0.6;
+  spec.seed = 23;
+  const Dataset all = GenerateSynthetic(spec);
+  Rng rng(24);
+  const VerticalSplitSpec split =
+      SplitColumnsRandomly(spec.cols, {0.5, 0.5}, &rng);
+  auto shards = PartitionVertically(all, split, /*label_party=*/1);
+  ASSERT_TRUE(shards.ok());
+  config.mock_crypto = true;
+  config.gbdt.max_bins = 8;
+  config.network.default_deadline_seconds = 30;
+  auto [a_end, b_end] = ChannelEndpoint::CreatePair(config.network);
+  RepeatingPort repeating(a_end.get(), std::move(pick));
+  std::thread party_a([&] {
+    PartyAEngine engine(config, (*shards)[0], &repeating, 0);
+    (void)engine.Run();
+  });
+  PartyBEngine engine(config, (*shards)[1], {b_end.get()});
+  const Result<PartyBResult> result = engine.Run();
+  party_a.join();
+  ASSERT_FALSE(result.ok()) << "B trained on a repeated histogram";
+  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError)
+      << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find(want), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(ScriptedPartyATest, PartyBRefusesARepeatedRootHistogram) {
+  // One layer per tree: the repeat of tree 0's root is the next histogram
+  // B reads, as tree 1's root.
+  FedConfig config = FedConfig::Vf2Boost();
+  config.gbdt.num_trees = 2;
+  config.gbdt.num_layers = 2;
+  ExpectPartyBRefusesRepeat(
+      config, [](const NodeHistogramPayload& h) { return h.node == 0; },
+      "wrong tree");
+}
+
+TEST(ScriptedPartyATest, PartyBRefusesADuplicateHistogramInOneLayer) {
+  // Layer 2 gets the smaller child of both layer-1 splits; the first one
+  // arrives twice.
+  FedConfig config = FedConfig::Vf2Boost();
+  config.gbdt.num_trees = 1;
+  config.gbdt.num_layers = 4;
+  ExpectPartyBRefusesRepeat(
+      config, [](const NodeHistogramPayload& h) { return h.layer == 2; },
+      "duplicate histogram");
 }
 
 }  // namespace
